@@ -1,9 +1,24 @@
 """Edge labels, interpolating polynomials, balance, and vanishing checks.
 
 A tree's monomial parametrization sends each outcome coordinate p_x to the
-product of edge labels along the root-to-leaf path of x.  Everything here
-works in the plain polynomial ring over those labels; sum-to-one relations
-enter only through explicit elimination inside ``vanishes``.
+product of edge labels along the root-to-leaf path of x.  Each validated
+tree is compiled once (``_compile``, the module's single tree-keyed cache)
+into integer form: label ids in ``tree_labels`` order, each outcome's
+path-label ids, and polynomials as ``dict[tuple[int, ...], int]`` keyed by
+sorted id tuples.  The compiled form carries two derived tables:
+
+- the interpolants, per vertex the sum of its below-path label products,
+  in the plain label ring (balance);
+- the eliminated image E(x) of every outcome: its path product with each
+  stage's last label replaced by one minus the stage's other labels, the
+  sum-to-one relations taken into account (vanishing).
+
+``vanishes`` maps a polynomial in outcome coordinates to Σ c·Π E(x) and
+checks it expands to zero.  ``statement_holds`` checks each 2x2 minor in
+factored form, M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the
+same ring homomorphism applied before the product instead of after, so the
+verdict stays exact and symbolic.  ``SparsePoly`` and ``Monomial`` remain
+the public types; results are converted at the API edge.
 """
 
 from __future__ import annotations
@@ -13,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .csi import CsiStatement
 from .errors import BadIndexError, BoundTooLargeError, NotSameStageError
@@ -52,58 +67,137 @@ def edge_label(stage: Stage, outcome: int) -> EdgeLabel:
     return EdgeLabel(stage.level, stage.context.items, outcome)
 
 
+class _Compiled:
+    """One validated tree in integer form.
+
+    A stage's labels get consecutive ids, so the label of vertex v and
+    outcome o is ``first[k][v] + o`` at depth k, and ids grow with the
+    level: a path's ids come out sorted, and prepending or appending the
+    id of a shallower or deeper level keeps a monomial sorted.
+    """
+
+    def __init__(self, tree: CStreeSpec):
+        system = tree.system
+        labels = []
+        self.first = []
+        for k, var in enumerate(system.variables):
+            start = {}
+            for stage in level_stages(tree, var):
+                start[stage] = len(labels)
+                labels.extend(edge_label(stage, o) for o in range(system.cards[k]))
+            smap = level_stage_map(tree, var)
+            self.first.append({v: start[stage] for v, stage in smap.items()})
+        self.system = system
+        self.labels = tuple(labels)
+        paths = {(): ()}
+        for k, d in enumerate(system.cards):
+            first = self.first[k]
+            paths = {
+                v + (o,): ids + (first[v] + o,)
+                for v, ids in paths.items()
+                for o in range(d)
+            }
+        self.paths = paths
+
+    @cached_property
+    def images(self) -> dict:
+        """outcome -> E(x), the eliminated image of p_x."""
+        layer = {(): {(): 1}}
+        for k, d in enumerate(self.system.cards):
+            first = self.first[k]
+            nxt = {}
+            for v, poly in layer.items():
+                last = dict(poly)
+                for o in range(d - 1):
+                    i = first[v] + o
+                    nxt[v + (o,)] = {m + (i,): c for m, c in poly.items()}
+                    last.update((m + (i,), -c) for m, c in poly.items())
+                nxt[v + (d - 1,)] = last
+            layer = nxt
+        return layer
+
+    @cached_property
+    def interpolants(self) -> list:
+        """Per depth k, vertex -> its interpolant; leaves give 1."""
+        system = self.system
+        one = {(): 1}
+        tables = [None] * system.p + [{x: one for x in self.paths}]
+        for k in range(system.p - 1, -1, -1):
+            first, below = self.first[k], tables[k + 1]
+            layer = {}
+            for v in system.level_vertices(k):
+                poly = {}
+                for o in range(system.cards[k]):
+                    i = first[v] + o
+                    poly.update(((i,) + m, c) for m, c in below[v + (o,)].items())
+                layer[v] = poly
+            tables[k] = layer
+        return tables
+
+    def marginal(self, support) -> dict:
+        """M(S) = Σ_{x∈S} E(x), zero terms dropped."""
+        images = self.images
+        acc = {}
+        get = acc.get
+        for x in support:
+            for m, c in images[x].items():
+                acc[m] = get(m, 0) + c
+        return {m: c for m, c in acc.items() if c}
+
+
+@lru_cache(maxsize=64)
+def _compile(tree: CStreeSpec) -> _Compiled:
+    return _Compiled(tree)
+
+
+def _product_into(acc: dict, f: dict, g: dict, sign: int) -> dict:
+    """acc += sign·f·g over sorted-id-tuple monomials; zeros may remain."""
+    get = acc.get
+    for m1, c1 in f.items():
+        c1 *= sign
+        for m2, c2 in g.items():
+            m = tuple(sorted(m1 + m2))
+            acc[m] = get(m, 0) + c1 * c2
+    return acc
+
+
+def _cross_equal(a: dict, b: dict, c: dict, d: dict) -> bool:
+    """Whether a·b == c·d."""
+    acc = _product_into(_product_into({}, a, b, 1), c, d, -1)
+    return not any(acc.values())
+
+
 def tree_labels(tree: CStreeSpec) -> tuple:
     """All labels of the tree, ordered by level, stage context, outcome."""
-    out = []
-    for var in tree.system.variables:
-        d = tree.system.card(var)
-        for stage in level_stages(tree, var):
-            out.extend(edge_label(stage, o) for o in range(d))
-    return tuple(out)
-
-
-@lru_cache(maxsize=512)
-def _psi_table(tree: CStreeSpec) -> dict:
-    """outcome -> monomial of path labels."""
-    system = tree.system
-    maps = [level_stage_map(tree, var) for var in system.variables]
-    out = {}
-    for x in system.outcomes():
-        labels = [edge_label(maps[k][x[:k]], x[k]) for k in range(system.p)]
-        out[x] = Monomial.of(*labels)
-    return out
+    return _compile(tree).labels
 
 
 def psi_monomial(tree: CStreeSpec, outcome) -> Monomial:
     """Image of the coordinate p_x: the label product along x's path."""
-    return _psi_table(tree)[tuple(outcome)]
-
-
-@lru_cache(maxsize=512)
-def _interpolant_tables(tree: CStreeSpec) -> tuple:
-    system = tree.system
-    tables = [None] * (system.p + 1)
-    tables[system.p] = {x: SparsePoly.constant(1) for x in system.outcomes()}
-    for k in range(system.p - 1, -1, -1):
-        var = system.variables[k]
-        smap = level_stage_map(tree, var)
-        nxt = tables[k + 1]
-        layer = {}
-        for v in system.level_vertices(k):
-            st = smap[v]
-            total = SparsePoly.zero()
-            for o in range(system.cards[k]):
-                total = total + SparsePoly.variable(edge_label(st, o)) * nxt[v + (o,)]
-            layer[v] = total
-        tables[k] = layer
-    return tuple(tables)
+    compiled = _compile(tree)
+    return Monomial.of(*(compiled.labels[i] for i in compiled.paths[tuple(outcome)]))
 
 
 def interpolant(tree: CStreeSpec, vertex) -> SparsePoly:
     """Sum over completions of the vertex of its below-path label products;
     leaves give 1."""
     vertex = tuple(vertex)
-    return _interpolant_tables(tree)[len(vertex)][vertex]
+    compiled = _compile(tree)
+    poly = compiled.interpolants[len(vertex)][vertex]
+    return SparsePoly(
+        {Monomial.of(*(compiled.labels[i] for i in m)): c for m, c in poly.items()}
+    )
+
+
+def _failing_outcomes(table: dict, v: tuple, w: tuple, d: int):
+    """The first outcome pair (s, r) where the cross-product identity of
+    v and w fails, or None."""
+    for s, r in itertools.combinations(range(d), 2):
+        if not _cross_equal(
+            table[v + (s,)], table[w + (r,)], table[v + (r,)], table[w + (s,)]
+        ):
+            return s, r
+    return None
 
 
 def balanced_pair(tree: CStreeSpec, v, w) -> bool:
@@ -112,12 +206,8 @@ def balanced_pair(tree: CStreeSpec, v, w) -> bool:
     v, w = tuple(v), tuple(w)
     if len(v) != len(w) or stage_of(tree, v) != stage_of(tree, w):
         raise NotSameStageError(f"{v} and {w} are staged apart")
-    table = _interpolant_tables(tree)[len(v) + 1]
-    d = tree.system.cards[len(v)]
-    for s, r in itertools.combinations(range(d), 2):
-        if table[v + (s,)] * table[w + (r,)] != table[v + (r,)] * table[w + (s,)]:
-            return False
-    return True
+    table = _compile(tree).interpolants[len(v) + 1]
+    return _failing_outcomes(table, v, w, tree.system.cards[len(v)]) is None
 
 
 @dataclass(frozen=True)
@@ -147,9 +237,8 @@ def is_balanced(tree: CStreeSpec, audit_all_pairs=False):
     anyway.
     """
     system = tree.system
+    tables = _compile(tree).interpolants
     for k, var in enumerate(system.variables):
-        table = _interpolant_tables(tree)[k + 1]
-        d = system.cards[k]
         for stage in tree.listed_stages(var):
             members = stage_members(system, stage)
             if audit_all_pairs:
@@ -158,12 +247,9 @@ def is_balanced(tree: CStreeSpec, audit_all_pairs=False):
                 rep = members[0]
                 pairs = ((rep, m) for m in members[1:])
             for v, w in pairs:
-                for s, r in itertools.combinations(range(d), 2):
-                    left = table[v + (s,)] * table[w + (r,)]
-                    right = table[v + (r,)] * table[w + (s,)]
-                    if left != right:
-                        witness = BalanceWitness(k, stage.context, (v, w), (s, r))
-                        return False, witness
+                failing = _failing_outcomes(tables[k + 1], v, w, system.cards[k])
+                if failing is not None:
+                    return False, BalanceWitness(k, stage.context, (v, w), failing)
     return True, None
 
 
@@ -225,6 +311,35 @@ def _statement_ranges(statement: CsiStatement, system: VariableSystem):
     return a, b, s, ra, rb, rs
 
 
+def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
+    """The cells (M(S1), M(S2), M(S3), M(S4)) of each minor of a statement,
+    in ``statement_quadrics`` order; ``marginal(support)`` gives one cell's
+    value and runs at most once per cell."""
+    a, b, s, ra, rb, rs = _statement_ranges(statement, system)
+    ctx = statement.context.as_dict()
+    cells = {}
+
+    def cell(x_a, x_b, x_s):
+        key = (x_a, x_b, x_s)
+        if key not in cells:
+            assign = dict(ctx)
+            assign.update(zip(a, x_a))
+            assign.update(zip(b, x_b))
+            assign.update(zip(s, x_s))
+            cells[key] = marginal(_marginal_support(system, assign))
+        return cells[key]
+
+    for x_a, y_a in itertools.combinations(ra, 2):
+        for x_b, y_b in itertools.combinations(rb, 2):
+            for x_s in rs:
+                yield (
+                    cell(x_a, x_b, x_s),
+                    cell(y_a, y_b, x_s),
+                    cell(x_a, y_b, x_s),
+                    cell(y_a, x_b, x_s),
+                )
+
+
 def statement_quadrics(statement: CsiStatement, system: VariableSystem) -> tuple:
     """All minor data of a statement, in deterministic order."""
     a, b, s, ra, rb, rs = _statement_ranges(statement, system)
@@ -252,46 +367,34 @@ def statement_polynomials(statement: CsiStatement, system: VariableSystem) -> tu
     return tuple(out)
 
 
-@lru_cache(maxsize=512)
-def _elimination(tree: CStreeSpec) -> dict:
-    """Per stage, rewrite the last outcome's label as one minus the others."""
-    subs = {}
-    for var in tree.system.variables:
-        d = tree.system.card(var)
-        for stage in level_stages(tree, var):
-            total = SparsePoly.constant(1)
-            for o in range(d - 1):
-                total = total - SparsePoly.variable(edge_label(stage, o))
-            subs[edge_label(stage, d - 1)] = total
-    return subs
-
-
 def vanishes(tree: CStreeSpec, poly: SparsePoly) -> bool:
     """Whether a polynomial in outcome coordinates dies on the model.
 
-    Coordinates map to their path label products; then each stage's last
-    label is eliminated via the sum-to-one relation and the result must
+    Each coordinate p_x maps to its eliminated image E(x), the path label
+    product with the sum-to-one relations applied, and the result must
     expand to the zero polynomial.  Exact, no sampling involved.
     """
-    table = _psi_table(tree)
-    image = SparsePoly.zero()
+    images = _compile(tree).images
+    acc = {}
     for mono, coef in poly.terms.items():
-        acc = Monomial()
+        term = {(): coef}
         for x, e in mono.powers:
-            path = table[tuple(x)]
             for _ in range(e):
-                acc = acc * path
-        image = image + SparsePoly({acc: coef})
-    return image.substitute(_elimination(tree)).is_zero()
+                term = _product_into({}, term, images[tuple(x)], 1)
+        for m, c in term.items():
+            acc[m] = acc.get(m, 0) + c
+    return not any(acc.values())
 
 
 def statement_holds(tree: CStreeSpec, statement: CsiStatement) -> bool:
     """Semantic ground truth: every minor of the statement vanishes on the
-    model.  Exact but slower than a point refutation; see
+    model, checked in factored form M(S1)·M(S2) == M(S3)·M(S4) on the
+    eliminated images.  Exact but slower than a point refutation; see
     ``statement_zero_at`` for the fast negative check."""
+    compiled = _compile(tree)
     return all(
-        vanishes(tree, poly)
-        for poly in statement_polynomials(statement, tree.system)
+        _cross_equal(*cells)
+        for cells in _minor_cells(statement, tree.system, compiled.marginal)
     )
 
 
@@ -312,11 +415,13 @@ def random_point(tree: CStreeSpec, seed=0) -> dict:
 
 def outcome_probabilities(tree: CStreeSpec, point: dict) -> dict:
     """The outcome distribution p_x induced by a parameter point."""
+    compiled = _compile(tree)
+    values = [point[label] for label in compiled.labels]
     out = {}
-    for x, mono in _psi_table(tree).items():
+    for x, ids in compiled.paths.items():
         value = Fraction(1)
-        for label, e in mono.powers:
-            value *= point[label] ** e
+        for i in ids:
+            value *= values[i]
         out[x] = value
     return out
 
@@ -327,28 +432,14 @@ def statement_zero_at(
     """Whether every minor of the statement evaluates to zero at a table of
     outcome probabilities.  A nonzero minor refutes the statement exactly;
     all-zero only suggests it, so confirm symbolically."""
-    a, b, s, ra, rb, rs = _statement_ranges(statement, system)
-    ctx = statement.context.as_dict()
-    value = {}
-    for x_a in ra:
-        for x_b in rb:
-            for x_s in rs:
-                assign = dict(ctx)
-                assign.update(zip(a, x_a))
-                assign.update(zip(b, x_b))
-                assign.update(zip(s, x_s))
-                value[x_a, x_b, x_s] = sum(
-                    (probs[x] for x in _marginal_support(system, assign)),
-                    Fraction(0),
-                )
-    for x_a, y_a in itertools.combinations(ra, 2):
-        for x_b, y_b in itertools.combinations(rb, 2):
-            for x_s in rs:
-                left = value[x_a, x_b, x_s] * value[y_a, y_b, x_s]
-                right = value[x_a, y_b, x_s] * value[y_a, x_b, x_s]
-                if left != right:
-                    return False
-    return True
+
+    def marginal(support):
+        return sum((probs[x] for x in support), Fraction(0))
+
+    return all(
+        m1 * m2 == m3 * m4
+        for m1, m2, m3, m4 in _minor_cells(statement, system, marginal)
+    )
 
 
 @dataclass(frozen=True)
@@ -371,17 +462,10 @@ class ExponentMatrix:
 
 
 def exponent_matrix(tree: CStreeSpec) -> ExponentMatrix:
-    labels = tree_labels(tree)
-    index = {label: i for i, label in enumerate(labels)}
-    table = _psi_table(tree)
-    outcomes = tuple(tree.system.outcomes())
-    columns = []
-    for x in outcomes:
-        rows = []
-        for label, e in table[x].powers:
-            rows.extend([index[label]] * e)
-        columns.append(tuple(sorted(rows)))
-    return ExponentMatrix(labels, outcomes, tuple(columns))
+    compiled = _compile(tree)
+    return ExponentMatrix(
+        compiled.labels, tuple(compiled.paths), tuple(compiled.paths.values())
+    )
 
 
 @dataclass(frozen=True)
@@ -405,12 +489,13 @@ class FiberReport:
 
 
 def _tables(total: int, length: int):
-    if length == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _tables(total - head, length - 1):
-            yield (head,) + rest
+    """Nonnegative integer vectors of the given length and total, in lex
+    order: stars and bars, the bar positions drawn in lex order."""
+    slots = total + length - 1
+    for bars in itertools.combinations(range(slots), length - 1):
+        yield tuple(
+            end - start - 1 for start, end in zip((-1,) + bars, bars + (slots,))
+        )
 
 
 def fibers_connected(
@@ -441,6 +526,12 @@ def fibers_connected(
             vec = tuple(vec)
             vectors.add(vec)
             vectors.add(tuple(-d for d in vec))
+    # Each move as (what it takes, nonzero entries): a move is skipped at the
+    # first entry it would take below zero, before any table is built.
+    sparse = []
+    for vec in vectors:
+        entries = tuple((i, d) for i, d in enumerate(vec) if d)
+        sparse.append((tuple((i, -d) for i, d in entries if d < 0), entries))
     fibers = {}
     total_tables = 0
     for total in range(bound + 1):
@@ -461,11 +552,17 @@ def fibers_connected(
 
         for t in tables:
             i = find(index[t])
-            for vec in vectors:
-                moved = tuple(a + d for a, d in zip(t, vec))
-                j = index.get(moved)
-                if j is not None:
-                    parent[find(j)] = i
+            for takes, entries in sparse:
+                for k, need in takes:
+                    if t[k] < need:
+                        break
+                else:
+                    moved = list(t)
+                    for k, d in entries:
+                        moved[k] += d
+                    j = index.get(tuple(moved))
+                    if j is not None:
+                        parent[find(j)] = i
         roots = {}
         for t in tables:
             roots.setdefault(find(index[t]), t)

@@ -5,8 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .csi import CsiStatement
 from .errors import BadGraphError, PreconditionError
@@ -18,11 +17,14 @@ class Dag:
     """A DAG whose edges all point from smaller to larger vertex.
 
     Acyclicity is structural: a backward edge is rejected outright, so the
-    vertex order is always a topological order.
+    vertex order is always a topological order.  Parents and children are
+    computed once, at construction.
     """
 
     vertices: tuple
     edges: frozenset
+    _parents: dict = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = tuple(int(v) for v in self.vertices)
@@ -32,21 +34,27 @@ class Dag:
         known = set(vertices)
         edges = frozenset((int(u), int(v)) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
+        parents = {v: set() for v in vertices}
+        children = {v: set() for v in vertices}
         for u, v in edges:
             if u not in known or v not in known:
                 raise BadGraphError(f"edge ({u},{v}) uses unknown vertices")
             if u >= v:
                 raise BadGraphError(f"edge ({u},{v}) does not respect the order")
+            parents[v].add(u)
+            children[u].add(v)
+        for name, adj in (("_parents", parents), ("_children", children)):
+            object.__setattr__(self, name, {v: frozenset(ws) for v, ws in adj.items()})
 
     @classmethod
     def of(cls, vertices, edges=()) -> "Dag":
         return cls(tuple(vertices), frozenset(tuple(e) for e in edges))
 
     def parents(self, v) -> frozenset:
-        return _adjacency(self)[0][v]
+        return self._parents[v]
 
     def children(self, v) -> frozenset:
-        return _adjacency(self)[1][v]
+        return self._children[v]
 
     def adjacent(self, u, v) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
@@ -96,13 +104,6 @@ class ContextDag:
     dag: Dag
 
 
-@lru_cache(maxsize=None)
-def _adjacency(dag: Dag):
-    parents = {v: frozenset(u for u, w in dag.edges if w == v) for v in dag.vertices}
-    children = {v: frozenset(w for u, w in dag.edges if u == v) for v in dag.vertices}
-    return parents, children
-
-
 def _check_query(dag: Dag, a, b, s):
     known = set(dag.vertices)
     if not a or not b:
@@ -114,7 +115,7 @@ def _check_query(dag: Dag, a, b, s):
 
 
 def _ancestral(dag: Dag, seed) -> frozenset:
-    parents, _ = _adjacency(dag)
+    parents = dag._parents
     closed = set(seed)
     frontier = list(seed)
     while frontier:
@@ -128,7 +129,7 @@ def _ancestral(dag: Dag, seed) -> frozenset:
 
 def descendants(dag: Dag, v) -> frozenset:
     """Strict descendants of a vertex."""
-    _, children = _adjacency(dag)
+    children = dag._children
     out = set()
     frontier = [v]
     while frontier:
@@ -147,7 +148,7 @@ def d_separated(dag: Dag, a, b, s=()) -> bool:
     a, b, s = frozenset(a), frozenset(b), frozenset(s)
     _check_query(dag, a, b, s)
     closure = _ancestral(dag, a | b | s)
-    parents, _ = _adjacency(dag)
+    parents = dag._parents
     adj = {v: set() for v in closure}
     for u, v in dag.edges:
         if u in closure and v in closure:
@@ -178,7 +179,7 @@ def d_separated_bayes_ball(dag: Dag, a, b, s=()) -> bool:
     """
     a, b, s = frozenset(a), frozenset(b), frozenset(s)
     _check_query(dag, a, b, s)
-    parents, children = _adjacency(dag)
+    parents, children = dag._parents, dag._children
     anc_s = _ancestral(dag, s)
     queue = deque((v, "up") for v in a)
     visited = set()
@@ -208,7 +209,7 @@ def local_markov(dag: Dag, context=Context()) -> tuple:
     """One statement per vertex: independent of its non-descendant
     non-parents given its parents.  Vacuous statements drop out."""
     out = []
-    parents, _ = _adjacency(dag)
+    parents = dag._parents
     for v in dag.vertices:
         rest = set(dag.vertices) - {v} - descendants(dag, v) - parents[v]
         if rest:
@@ -222,7 +223,7 @@ def local_markov(dag: Dag, context=Context()) -> tuple:
 
 def moralize(dag: Dag) -> UndirectedGraph:
     """Drop directions and marry all co-parents."""
-    parents, _ = _adjacency(dag)
+    parents = dag._parents
     edges = set(dag.edges)
     for v in dag.vertices:
         edges.update(itertools.combinations(sorted(parents[v]), 2))
@@ -235,7 +236,7 @@ def directed_moralize(dag: Dag):
     One simultaneous pass over the current graph; returns the new graph and
     the sorted tuple of edges added.
     """
-    parents, _ = _adjacency(dag)
+    parents = dag._parents
     added = set()
     for v in dag.vertices:
         for x, y in itertools.combinations(sorted(parents[v]), 2):
@@ -263,7 +264,7 @@ def to_perfect(dag: Dag):
 
 def is_perfect(dag: Dag) -> bool:
     """Every parent set induces a complete subgraph."""
-    parents, _ = _adjacency(dag)
+    parents = dag._parents
     return all(
         dag.adjacent(x, y)
         for v in dag.vertices
@@ -333,7 +334,7 @@ def moralization_obstructions(dag: Dag, i, j) -> ObstructionReport:
     if i == j or i not in known or j not in known:
         raise BadGraphError(f"need two distinct vertices, got {i}, {j}")
     i, j = min(i, j), max(i, j)
-    _, children = _adjacency(dag)
+    children = dag._children
     if dag.adjacent(i, j):
         raise PreconditionError(f"{i} and {j} are adjacent")
     if children[i] & children[j]:

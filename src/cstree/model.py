@@ -426,13 +426,15 @@ def spec_from_json(data) -> CStreeSpec:
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    if "cards" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("cards"), (list, tuple)):
         raise BadCardinalityError("fixture needs a 'cards' list")
     system = VariableSystem(tuple(data["cards"]), tuple(data.get("variables", ())))
     if "p" in data and int(data["p"]) != system.p:
         raise BadCardinalityError(f"p={data['p']} but {system.p} cards given")
     levels = [[] for _ in range(system.p)]
     for entry in data.get("levels", ()):
+        if "level" not in entry:
+            raise BadIndexError("level entry needs a 'level' key")
         var = int(entry["level"])
         pos = system.position(var)
         for raw in entry.get("stages", ()):

@@ -1,5 +1,6 @@
 """Labels, interpolants, balance, vanishing, points, and fibers."""
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -8,13 +9,16 @@ import pytest
 
 from cstree import (
     BadIndexError,
+    BalanceWitness,
     BoundTooLargeError,
     Context,
     EdgeLabel,
     NotSameStageError,
     SparsePoly,
     VariableSystem,
+    all_contexts,
     balanced_pair,
+    dag_from_json,
     edge_label,
     exponent_matrix,
     fibers_connected,
@@ -25,14 +29,22 @@ from cstree import (
     parse_statement,
     psi_monomial,
     random_cstree,
+    random_dag,
     random_point,
+    stage_members,
+    stage_of,
     statement_holds,
     statement_polynomials,
     statement_quadrics,
     statement_zero_at,
     tree_labels,
+    tree_of_dag,
     vanishes,
 )
+from cstree.algebra import _tables
+from cstree.contexts import _context_statements
+
+from conftest import load
 
 
 @dataclass(frozen=True)
@@ -187,3 +199,157 @@ def test_chain_fibers_connected_by_its_binomials(chain):
     assert t1 != t2
     assert matrix.marginal(t1) == matrix.marginal(t2) == marg
     assert "disconnected" in str(bare)
+
+
+def _recursive_tables(total, length):
+    if length == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _recursive_tables(total - head, length - 1):
+            yield (head,) + rest
+
+
+def test_tables_keep_the_recursive_order():
+    for length in range(1, 8):
+        for total in range(5):
+            assert list(_tables(total, length)) == list(
+                _recursive_tables(total, length)
+            )
+
+
+def test_fibers_at_bound_zero_on_a_large_tree():
+    # 2,048 outcomes: deeper than the recursion limit allows for recursion.
+    dag = dag_from_json({"vertices": list(range(1, 12)), "edges": []})
+    matrix = exponent_matrix(tree_of_dag(dag, (2,) * 11))
+    report = fibers_connected(matrix, [], bound=0)
+    assert report.connected
+    assert (report.tables, report.fibers) == (1, 1)
+
+
+# Exactness gate: the compiled, factored route against the route it replaced,
+# written out here from public pieces: each outcome monomial becomes a
+# product of path monomials, and that image is expanded by substituting one
+# minus the others for each stage's last label.  Substitution is linear, so
+# each distinct outcome monomial is expanded once per tree (its terms keyed
+# by label positions) and the expansions are summed.
+
+
+class _Reference:
+    def __init__(self, tree):
+        self.tree = tree
+        self.subs = {}
+        for var in tree.system.variables:
+            d = tree.system.card(var)
+            for stage in level_stages(tree, var):
+                total = SparsePoly.constant(1)
+                for o in range(d - 1):
+                    total = total - SparsePoly.variable(edge_label(stage, o))
+                self.subs[edge_label(stage, d - 1)] = total
+        self.position = {label: i for i, label in enumerate(tree_labels(tree))}
+        self.expanded = {}
+
+    def expand(self, mono):
+        if mono not in self.expanded:
+            image = SparsePoly.constant(1)
+            for x, e in mono.powers:
+                image = image * SparsePoly({psi_monomial(self.tree, x): 1}) ** e
+            self.expanded[mono] = {
+                tuple((self.position[v], e) for v, e in m.powers): c
+                for m, c in image.substitute(self.subs).terms.items()
+            }
+        return self.expanded[mono]
+
+    def vanishes(self, poly):
+        total = {}
+        for mono, coef in poly.terms.items():
+            for m, c in self.expand(mono).items():
+                total[m] = total.get(m, 0) + coef * c
+        return not any(total.values())
+
+
+def _reference_balance(tree):
+    system = tree.system
+    table = {x: SparsePoly.constant(1) for x in system.outcomes()}
+    for k in range(system.p - 1, -1, -1):
+        for v in system.level_vertices(k):
+            stage = stage_of(tree, v)
+            table[v] = SparsePoly.zero()
+            for o in range(system.cards[k]):
+                label = SparsePoly.variable(edge_label(stage, o))
+                table[v] = table[v] + label * table[v + (o,)]
+    for k, var in enumerate(system.variables):
+        for stage in tree.listed_stages(var):
+            v, *others = stage_members(system, stage)
+            for w in others:
+                for s, r in itertools.combinations(range(system.cards[k]), 2):
+                    left = table[v + (s,)] * table[w + (r,)]
+                    if left != table[v + (r,)] * table[w + (s,)]:
+                        return False, BalanceWitness(k, stage.context, (v, w), (s, r))
+    return True, None
+
+
+def _assert_statements_agree(tree):
+    reference = _Reference(tree)
+    verdicts = {}  # minor -> reference verdict; statements share many minors
+    verdicts_seen = set()
+    for ctx in all_contexts(tree.system):
+        for statement in _context_statements(tree.system, ctx):
+            expected = True
+            # statement_polynomials, expanded lazily up to the first failure
+            for quadric in statement_quadrics(statement, tree.system):
+                poly = quadric.expand(tree.system)
+                if poly.is_zero():
+                    continue
+                if poly not in verdicts:
+                    verdicts[poly] = reference.vanishes(poly)
+                    assert vanishes(tree, poly) == verdicts[poly], (statement, poly)
+                if not verdicts[poly]:
+                    expected = False
+                    break
+            assert statement_holds(tree, statement) == expected, statement
+            verdicts_seen.add(expected)
+    return verdicts_seen
+
+
+TREE_FIXTURES = (
+    "fig1.json",
+    "fig3.json",
+    "fig4.json",
+    "fig4_textreading.json",
+    "fig5_tree.json",
+    "chain123.json",
+)
+
+
+def test_exactness_gate_statements_on_fixtures():
+    for name in TREE_FIXTURES:
+        assert _assert_statements_agree(load(name)) == {True, False}
+
+
+def test_exactness_gate_statements_on_random_trees():
+    rng = random.Random(2210)
+    systems = [
+        VariableSystem(tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(2, 4))))
+        for _ in range(24)
+    ]
+    systems += [VariableSystem((2,) * 5)] * 2
+    seen = set()
+    for system in systems:
+        seen |= _assert_statements_agree(random_cstree(system, rng))
+    assert seen == {True, False}
+
+
+def test_exactness_gate_balance():
+    trees = [load(name) for name in TREE_FIXTURES]
+    rng = random.Random(11521)
+    for p in range(2, 7):
+        for _ in range(4):
+            dag = random_dag(p, rng, edge_prob=rng.random())
+            trees.append(tree_of_dag(dag, (2,) * p))
+    verdicts = set()
+    for tree in trees:
+        expected = _reference_balance(tree)
+        assert is_balanced(tree) == expected
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}

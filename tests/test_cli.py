@@ -48,6 +48,30 @@ def test_validate_rejects_bad_fixture(capsys):
     assert "members" in error["message"] or "cylinder" in error["message"]
 
 
+def _validate_error(capsys, tmp_path, fixture):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(fixture))
+    code, out, err = _run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    return json.loads(err)["error"]
+
+
+def test_level_entry_without_level_key_is_rejected(capsys, tmp_path):
+    fixture = {"p": 2, "cards": [2, 2], "levels": [{"stages": [{"context": {}}]}]}
+    error = _validate_error(capsys, tmp_path, fixture)
+    assert error["type"] == "BadIndex"
+    assert "'level'" in error["message"]
+
+
+def test_cards_given_as_a_string_are_rejected(capsys, tmp_path):
+    for fixture in ({"p": 2, "cards": "22"}, [2, 2]):
+        error = _validate_error(capsys, tmp_path, fixture)
+        assert error["type"] == "BadCardinality"
+        assert "'cards'" in error["message"]
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, _, err = _run(capsys, "validate", "no-such-file.json")
     assert code == 1
