@@ -32,12 +32,10 @@ from .model import (
     context_subtree,
     format_outcome,
     level_stage_map,
-    level_stages,
     load_spec,
     spec_from_json,
     spec_to_json,
     stage_members,
-    stage_of,
     stage_statement,
     tree_of_dag,
     tree_statements,
@@ -86,7 +84,6 @@ from .algebra import (
     EdgeLabel,
     ExponentMatrix,
     FiberReport,
-    MarginalQuadric,
     balanced_pair,
     edge_label,
     exponent_matrix,
@@ -98,7 +95,6 @@ from .algebra import (
     random_point,
     statement_holds,
     statement_polynomials,
-    statement_quadrics,
     statement_zero_at,
     tree_labels,
     vanishes,

@@ -38,9 +38,7 @@ from .model import (
     Stage,
     VariableSystem,
     level_stage_map,
-    level_stages,
     stage_members,
-    stage_of,
 )
 from .poly import Monomial, SparsePoly
 
@@ -81,11 +79,11 @@ class _Compiled:
         labels = []
         self.first = []
         for k, var in enumerate(system.variables):
+            smap = level_stage_map(tree, var)
             start = {}
-            for stage in level_stages(tree, var):
+            for stage in sorted(set(smap.values()), key=lambda s: s.context.items):
                 start[stage] = len(labels)
                 labels.extend(edge_label(stage, o) for o in range(system.cards[k]))
-            smap = level_stage_map(tree, var)
             self.first.append({v: start[stage] for v, stage in smap.items()})
         self.system = system
         self.labels = tuple(labels)
@@ -204,9 +202,15 @@ def balanced_pair(tree: CStreeSpec, v, w) -> bool:
     """Whether two same-stage vertices satisfy the cross-product identity
     t(v s) t(w r) = t(v r) t(w s) for every outcome pair, in the plain ring."""
     v, w = tuple(v), tuple(w)
-    if len(v) != len(w) or stage_of(tree, v) != stage_of(tree, w):
+    if len(v) != len(w):
         raise NotSameStageError(f"{v} and {w} are staged apart")
-    table = _compile(tree).interpolants[len(v) + 1]
+    compiled = _compile(tree)
+    first = compiled.first[len(v)] if len(v) < tree.system.p else {}
+    if v not in first or w not in first:
+        raise BadIndexError(f"{v} and {w} must both be vertices of the tree")
+    if first[v] != first[w]:
+        raise NotSameStageError(f"{v} and {w} are staged apart")
+    table = compiled.interpolants[len(v) + 1]
     return _failing_outcomes(table, v, w, tree.system.cards[len(v)]) is None
 
 
@@ -253,81 +257,39 @@ def is_balanced(tree: CStreeSpec, audit_all_pairs=False):
     return True, None
 
 
-@dataclass(frozen=True)
-class MarginalQuadric:
-    """One 2x2 minor of a statement: two outcomes on each block, a fixed
-    conditioning assignment, and the statement's context; coordinates not
-    mentioned are summed out."""
-
-    a_vars: tuple
-    b_vars: tuple
-    s_vars: tuple
-    x_a: tuple
-    y_a: tuple
-    x_b: tuple
-    y_b: tuple
-    x_s: tuple
-    context: Context
-
-    def support(self, system: VariableSystem, a_val, b_val) -> tuple:
-        assign = dict(zip(self.a_vars, a_val))
-        assign.update(zip(self.b_vars, b_val))
-        assign.update(zip(self.s_vars, self.x_s))
-        assign.update(self.context.items)
-        return _marginal_support(system, assign)
-
-    def expand(self, system: VariableSystem) -> SparsePoly:
-        def marg(a_val, b_val):
-            return SparsePoly(
-                {Monomial.of(x): 1 for x in self.support(system, a_val, b_val)}
-            )
-
-        return marg(self.x_a, self.x_b) * marg(self.y_a, self.y_b) - marg(
-            self.x_a, self.y_b
-        ) * marg(self.y_a, self.x_b)
-
-
-def _marginal_support(system: VariableSystem, assign: dict) -> tuple:
-    pinned = {system.position(v): x for v, x in assign.items()}
-    axes = [
-        (pinned[i],) if i in pinned else range(system.cards[i])
-        for i in range(system.p)
-    ]
-    return tuple(itertools.product(*axes))
-
-
-def _statement_ranges(statement: CsiStatement, system: VariableSystem):
-    for v in statement.variables():
-        system.position(v)
+def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
+    """The cells (M(S1), M(S2), M(S3), M(S4)) of each 2x2 minor of a
+    statement; the one enumeration of its minors.  Minors run over pairs of
+    A values, then pairs of B values, then S values, each in lex order, and
+    a minor is M(S1)·M(S2) - M(S3)·M(S4) with S1 = (x_A, x_B, x_S),
+    S2 = (y_A, y_B, x_S), S3 = (x_A, y_B, x_S) and S4 = (y_A, x_B, x_S).  A
+    cell pins those values and the context and sums out the other
+    variables: ``marginal(support)`` gives its value from its outcomes in
+    lex order and runs at most once per cell.  A variable or context value
+    outside the system raises BadIndexError."""
     for v, x in statement.context.items:
         if not 0 <= x < system.card(v):
             raise BadIndexError(f"context value {x} out of range for X{v}")
-    a = tuple(sorted(statement.a))
-    b = tuple(sorted(statement.b))
-    s = tuple(sorted(statement.s))
-    ra = tuple(itertools.product(*(range(system.card(v)) for v in a)))
-    rb = tuple(itertools.product(*(range(system.card(v)) for v in b)))
-    rs = tuple(itertools.product(*(range(system.card(v)) for v in s)))
-    return a, b, s, ra, rb, rs
-
-
-def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
-    """The cells (M(S1), M(S2), M(S3), M(S4)) of each minor of a statement,
-    in ``statement_quadrics`` order; ``marginal(support)`` gives one cell's
-    value and runs at most once per cell."""
-    a, b, s, ra, rb, rs = _statement_ranges(statement, system)
-    ctx = statement.context.as_dict()
+    blocks = [tuple(sorted(part)) for part in (statement.a, statement.b, statement.s)]
+    ra, rb, rs = (
+        tuple(itertools.product(*(range(system.card(v)) for v in block)))
+        for block in blocks
+    )
+    places = [tuple(map(system.position, block)) for block in blocks]
+    context = {system.position(v): x for v, x in statement.context.items}
     cells = {}
 
-    def cell(x_a, x_b, x_s):
-        key = (x_a, x_b, x_s)
-        if key not in cells:
-            assign = dict(ctx)
-            assign.update(zip(a, x_a))
-            assign.update(zip(b, x_b))
-            assign.update(zip(s, x_s))
-            cells[key] = marginal(_marginal_support(system, assign))
-        return cells[key]
+    def cell(*values):
+        if values not in cells:
+            pinned = dict(context)
+            for place, vals in zip(places, values):
+                pinned.update(zip(place, vals))
+            axes = [
+                (pinned[i],) if i in pinned else range(d)
+                for i, d in enumerate(system.cards)
+            ]
+            cells[values] = marginal(tuple(itertools.product(*axes)))
+        return cells[values]
 
     for x_a, y_a in itertools.combinations(ra, 2):
         for x_b, y_b in itertools.combinations(rb, 2):
@@ -340,28 +302,17 @@ def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
                 )
 
 
-def statement_quadrics(statement: CsiStatement, system: VariableSystem) -> tuple:
-    """All minor data of a statement, in deterministic order."""
-    a, b, s, ra, rb, rs = _statement_ranges(statement, system)
-    out = []
-    for x_a, y_a in itertools.combinations(ra, 2):
-        for x_b, y_b in itertools.combinations(rb, 2):
-            for x_s in rs:
-                out.append(
-                    MarginalQuadric(
-                        a, b, s, x_a, y_a, x_b, y_b, x_s, statement.context
-                    )
-                )
-    return tuple(out)
-
-
 def statement_polynomials(statement: CsiStatement, system: VariableSystem) -> tuple:
     """Exact polynomial translation of a statement: every 2x2 minor of every
     conditional slice, in marginalized outcome coordinates.  Minors that
     expand to zero are dropped."""
+
+    def marginal(support):
+        return SparsePoly({Monomial.of(x): 1 for x in support})
+
     out = []
-    for quadric in statement_quadrics(statement, system):
-        poly = quadric.expand(system)
+    for m1, m2, m3, m4 in _minor_cells(statement, system, marginal):
+        poly = m1 * m2 - m3 * m4
         if not poly.is_zero():
             out.append(poly)
     return tuple(out)
@@ -403,13 +354,14 @@ def random_point(tree: CStreeSpec, seed=0) -> dict:
     from 1..97 and normalized, so every label is a positive Fraction."""
     rng = random.Random(seed)
     point = {}
-    for var in tree.system.variables:
-        d = tree.system.card(var)
-        for stage in level_stages(tree, var):
-            nums = [rng.randint(1, 97) for _ in range(d)]
-            total = sum(nums)
-            for o in range(d):
-                point[edge_label(stage, o)] = Fraction(nums[o], total)
+    stages = itertools.groupby(
+        _compile(tree).labels, key=lambda label: (label.level, label.stage_context)
+    )
+    for _, labels in stages:
+        labels = tuple(labels)
+        nums = [rng.randint(1, 97) for _ in labels]
+        total = sum(nums)
+        point.update((label, Fraction(n, total)) for label, n in zip(labels, nums))
     return point
 
 

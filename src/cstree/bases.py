@@ -20,12 +20,9 @@ from .model import (
     CStreeSpec,
     VariableSystem,
     format_outcome,
-    level_stage_map,
-    level_stages,
-    stage_members,
     validate,
 )
-from .algebra import is_balanced
+from .algebra import _compile, _minor_cells, is_balanced
 from .contexts import minimal_contexts
 from .poly import Monomial, SparsePoly
 
@@ -86,39 +83,13 @@ def statement_binomials(
     """
     if not is_saturated(statement, system):
         raise PreconditionError(f"statement {statement} is not saturated")
-    a = tuple(sorted(statement.a))
-    b = tuple(sorted(statement.b))
-    s = tuple(sorted(statement.s))
-    positions = {v: system.position(v) for v in system.variables}
-    base = [None] * system.p
-    for v, x in statement.context.items:
-        base[positions[v]] = x
-
-    def outcome(x_a, x_b, x_s):
-        vals = list(base)
-        for v, x in zip(a, x_a):
-            vals[positions[v]] = x
-        for v, x in zip(b, x_b):
-            vals[positions[v]] = x
-        for v, x in zip(s, x_s):
-            vals[positions[v]] = x
-        return tuple(vals)
-
-    ra = tuple(itertools.product(*(range(system.card(v)) for v in a)))
-    rb = tuple(itertools.product(*(range(system.card(v)) for v in b)))
-    rs = tuple(itertools.product(*(range(system.card(v)) for v in s)))
     out = []
-    for x_a, y_a in itertools.combinations(ra, 2):
-        for x_b, y_b in itertools.combinations(rb, 2):
-            for x_s in rs:
-                binomial = canonical_binomial(
-                    (outcome(x_a, x_b, x_s), outcome(y_a, y_b, x_s)),
-                    (outcome(x_a, y_b, x_s), outcome(y_a, x_b, x_s)),
-                    source,
-                    statement.context,
-                )
-                if binomial:
-                    out.append(binomial)
+    # Saturated: every variable is pinned, so each cell is one outcome.
+    cells = _minor_cells(statement, system, lambda support: support)
+    for (u1,), (u2,), (v1,), (v2,) in cells:
+        binomial = canonical_binomial((u1, u2), (v1, v2), source, statement.context)
+        if binomial:
+            out.append(binomial)
     return tuple(out)
 
 
@@ -132,6 +103,24 @@ def _dedup(binomials) -> tuple:
     return tuple(out)
 
 
+def _saturated_route(tree: CStreeSpec, contexts, transform, word: str) -> tuple:
+    balanced, witness = is_balanced(tree)
+    if not balanced:
+        warnings.warn(
+            UnbalancedWarning(
+                f"tree is not balanced ({witness}); "
+                f"the {word} binomials may not generate"
+            )
+        )
+    if contexts is None:
+        contexts = minimal_contexts(tree)
+    out = []
+    for cdag in contexts:
+        for statement in saturated_statements(transform(cdag.dag), cdag.context):
+            out.extend(statement_binomials(statement, tree.system))
+    return _dedup(out)
+
+
 def markov_basis_saturated(tree: CStreeSpec, contexts=None) -> tuple:
     """Minors of every saturated separation statement of every context graph.
 
@@ -139,42 +128,13 @@ def markov_basis_saturated(tree: CStreeSpec, contexts=None) -> tuple:
     warning and the binomials anyway; they still lie in the kernel but need
     not generate it.
     """
-    balanced, witness = is_balanced(tree)
-    if not balanced:
-        warnings.warn(
-            UnbalancedWarning(
-                f"tree is not balanced ({witness}); "
-                "the saturated binomials may not generate"
-            )
-        )
-    if contexts is None:
-        contexts = minimal_contexts(tree)
-    out = []
-    for cdag in contexts:
-        for statement in saturated_statements(cdag.dag, cdag.context):
-            out.extend(statement_binomials(statement, tree.system))
-    return _dedup(out)
+    return _saturated_route(tree, contexts, lambda dag: dag, "saturated")
 
 
 def perfect_context_basis(tree: CStreeSpec, contexts=None) -> tuple:
     """Same as the saturated route, but each context graph is first closed
     under directed moralization, enlarging parent sets until perfect."""
-    balanced, witness = is_balanced(tree)
-    if not balanced:
-        warnings.warn(
-            UnbalancedWarning(
-                f"tree is not balanced ({witness}); "
-                "the perfected binomials may not generate"
-            )
-        )
-    if contexts is None:
-        contexts = minimal_contexts(tree)
-    out = []
-    for cdag in contexts:
-        perfected, _ = to_perfect(cdag.dag)
-        for statement in saturated_statements(perfected, cdag.context):
-            out.extend(statement_binomials(statement, tree.system))
-    return _dedup(out)
+    return _saturated_route(tree, contexts, lambda dag: to_perfect(dag)[0], "perfected")
 
 
 def truncate(tree: CStreeSpec) -> CStreeSpec:
@@ -206,10 +166,13 @@ def quad_lift_basis(tree: CStreeSpec) -> tuple:
         lower = build(truncate(t))
         var = system.variables[-1]
         d = system.cards[-1]
+        stage_id = _compile(t).first[-1]
+        members = {}
+        for v in sorted(stage_id):
+            members.setdefault(stage_id[v], []).append(v)
         produced = []
-        for stage in level_stages(t, var):
-            members = stage_members(system, stage)
-            for x, y in itertools.combinations(members, 2):
+        for i in sorted(members):
+            for x, y in itertools.combinations(members[i], 2):
                 for k1, k2 in itertools.combinations(range(d), 2):
                     produced.append(
                         canonical_binomial(
@@ -218,12 +181,11 @@ def quad_lift_basis(tree: CStreeSpec) -> tuple:
                             "quad",
                         )
                     )
-        smap = level_stage_map(t, var)
         for g in lower:
             a, b = g.plus
             c1, c2 = g.minus
-            s_a, s_b = smap[a], smap[b]
-            s_c1, s_c2 = smap[c1], smap[c2]
+            s_a, s_b = stage_id[a], stage_id[b]
+            s_c1, s_c2 = stage_id[c1], stage_id[c2]
             alignments = set()
             if s_a == s_c1 and s_b == s_c2:
                 alignments.add((c1, c2))

@@ -38,31 +38,34 @@ def _subsets(positions):
         yield from itertools.combinations(positions, size)
 
 
+def _cylinders(system: VariableSystem, pos: int, uncovered: frozenset):
+    """The stages of layer ``pos`` around its lex-smallest uncovered vertex
+    whose members are all uncovered, with those members, in (size, lex)
+    context order."""
+    v = min(uncovered)
+    for fixed in _subsets(tuple(range(pos))):
+        ctx = Context(tuple((system.variables[i], v[i]) for i in fixed))
+        stage = Stage(system.variables[pos], ctx)
+        members = frozenset(stage_members(system, stage))
+        if members <= uncovered:
+            yield stage, members
+
+
 def _level_partitions(system: VariableSystem, pos: int):
     """All partitions of layer ``pos`` into context cylinders.
 
-    Splits on the lex-smallest uncovered vertex, trying every containing
-    cylinder in (size, lex) context order, so each partition appears once
-    and the order is deterministic.
+    Splits on the lex-smallest uncovered vertex, trying every admissible
+    cylinder around it in turn, so each partition appears once and the
+    order is deterministic.
     """
-    variables = system.variables
-    subsets = tuple(_subsets(tuple(range(pos))))
-
-    def cylinder(vertex, fixed):
-        ctx = Context(tuple((variables[i], vertex[i]) for i in fixed))
-        stage = Stage(variables[pos], ctx)
-        return stage, frozenset(stage_members(system, stage))
 
     def split(uncovered):
         if not uncovered:
             yield ()
             return
-        v = min(uncovered)
-        for fixed in subsets:
-            stage, members = cylinder(v, fixed)
-            if members <= uncovered:
-                for rest in split(uncovered - members):
-                    yield (stage,) + rest
+        for stage, members in _cylinders(system, pos, uncovered):
+            for rest in split(uncovered - members):
+                yield (stage,) + rest
 
     yield from split(frozenset(system.level_vertices(pos)))
 
@@ -156,19 +159,12 @@ def random_cstree(system: VariableSystem, rng) -> CStreeSpec:
     uniform, but every staging has positive probability."""
     levels = []
     for pos in range(system.p):
-        uncovered = set(system.level_vertices(pos))
+        uncovered = frozenset(system.level_vertices(pos))
         stages = []
-        subsets = tuple(_subsets(tuple(range(pos))))
         while uncovered:
-            v = min(uncovered)
-            options = []
-            for fixed in subsets:
-                ctx = Context(tuple((system.variables[i], v[i]) for i in fixed))
-                stage = Stage(system.variables[pos], ctx)
-                if set(stage_members(system, stage)) <= uncovered:
-                    options.append(stage)
-            stage = options[rng.randrange(len(options))]
-            uncovered -= set(stage_members(system, stage))
+            options = tuple(_cylinders(system, pos, uncovered))
+            stage, members = options[rng.randrange(len(options))]
+            uncovered -= members
             stages.append(stage)
         levels.append(tuple(stages))
     return validate(CStreeSpec(system, tuple(levels)))

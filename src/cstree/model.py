@@ -186,52 +186,20 @@ def stage_members(system: VariableSystem, stage: Stage) -> tuple:
     return tuple(itertools.product(*axes))
 
 
-def stage_of(tree: CStreeSpec, vertex) -> Stage:
-    """The stage of a prefix vertex (the stage emitting the next variable)."""
-    system = tree.system
-    vertex = tuple(int(x) for x in vertex)
-    if len(vertex) >= system.p:
-        raise BadIndexError("a vertex is a proper prefix, not a full outcome")
-    for i, x in enumerate(vertex):
-        if not 0 <= x < system.cards[i]:
-            raise BadIndexError(f"outcome {x} out of range at position {i}")
-    var = system.variables[len(vertex)]
-    for stage in tree.listed_stages(var):
-        if all(vertex[system.position(v)] == x for v, x in stage.context.items):
-            return stage
-    prior = system.variables[: len(vertex)]
-    return Stage(var, Context(tuple(zip(prior, vertex))))
-
-
 def level_stage_map(tree: CStreeSpec, var: int) -> dict:
-    """vertex -> stage for one layer, implicit singletons filled in."""
+    """vertex -> stage for one layer, in lex vertex order, implicit
+    singletons filled in.  The one place that decides stage membership."""
     system = tree.system
     pos = system.position(var)
-    out = {}
+    listed = {}
     for stage in tree.listed_stages(var):
         for v in stage_members(system, stage):
-            out[v] = stage
+            listed[v] = stage
     prior = system.variables[:pos]
-    for v in system.level_vertices(pos):
-        if v not in out:
-            out[v] = Stage(var, Context(tuple(zip(prior, v))))
-    return out
-
-
-def level_stages(tree: CStreeSpec, var: int) -> tuple:
-    """All stages governing one variable, singletons included, in canonical
-    (context) order."""
-    system = tree.system
-    pos = system.position(var)
-    stages = list(tree.listed_stages(var))
-    covered = set()
-    for st in stages:
-        covered.update(stage_members(system, st))
-    prior = system.variables[:pos]
-    for v in system.level_vertices(pos):
-        if v not in covered:
-            stages.append(Stage(var, Context(tuple(zip(prior, v)))))
-    return tuple(sorted(stages, key=lambda s: s.context.items))
+    return {
+        v: listed.get(v) or Stage(var, Context(tuple(zip(prior, v))))
+        for v in system.level_vertices(pos)
+    }
 
 
 def _resolve_stage(system: VariableSystem, stage: Stage) -> Stage:
@@ -403,14 +371,37 @@ def format_outcome(values) -> str:
     return ".".join(str(x) for x in values)
 
 
+_SHAPES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _shaped(value, shape, what, error=BadIndexError):
+    """``value`` when it has the JSON shape ``shape`` (int, list or dict),
+    else a typed error naming the field: the fixture parser's one check."""
+    kinds = (list, tuple) if shape is list else shape
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise error(f"{what} must be {_SHAPES[shape]}, got {value!r}")
+    return value
+
+
 def _parse_member(value):
     if isinstance(value, str):
-        if not value.isdigit():
+        if not value.isdecimal():
             raise BadCardinalityError(
                 f"member string {value!r} must be decimal digits (cards <= 10)"
             )
         return tuple(int(ch) for ch in value)
-    return tuple(int(x) for x in value)
+    value = _shaped(value, list, "a member", BadCardinalityError)
+    return tuple(_shaped(x, int, "a member digit", BadCardinalityError) for x in value)
+
+
+def _fixture_context(value) -> Context:
+    pairs = _shaped(value, dict, "'context'")
+    for key in pairs:
+        if not str(key).isdecimal():
+            raise BadIndexError(f"context key {key!r} must be a variable name")
+    return Context.of(
+        {int(k): _shaped(x, int, "a context value") for k, x in pairs.items()}
+    )
 
 
 def spec_from_json(data) -> CStreeSpec:
@@ -422,27 +413,35 @@ def spec_from_json(data) -> CStreeSpec:
     Context keys are variable names as decimal strings; members are
     concatenated outcome digits (usable while every cardinality is at most
     10).  An optional ``variables`` list names the variables when they are
-    not 1..p; context-subtree output uses this.
+    not 1..p; context-subtree output uses this.  A field of the wrong JSON
+    type raises BadCardinalityError (cards, p, members) or BadIndexError.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     if not isinstance(data, dict) or not isinstance(data.get("cards"), (list, tuple)):
         raise BadCardinalityError("fixture needs a 'cards' list")
-    system = VariableSystem(tuple(data["cards"]), tuple(data.get("variables", ())))
-    if "p" in data and int(data["p"]) != system.p:
-        raise BadCardinalityError(f"p={data['p']} but {system.p} cards given")
+    cards = tuple(
+        _shaped(c, int, "a cardinality", BadCardinalityError) for c in data["cards"]
+    )
+    names = _shaped(data.get("variables", ()), list, "'variables'")
+    system = VariableSystem(
+        cards, tuple(_shaped(v, int, "a variable name") for v in names)
+    )
+    if "p" in data:
+        if _shaped(data["p"], int, "'p'", BadCardinalityError) != system.p:
+            raise BadCardinalityError(f"p={data['p']} but {system.p} cards given")
     levels = [[] for _ in range(system.p)]
-    for entry in data.get("levels", ()):
-        if "level" not in entry:
+    for entry in _shaped(data.get("levels", ()), list, "'levels'"):
+        if "level" not in _shaped(entry, dict, "a level entry"):
             raise BadIndexError("level entry needs a 'level' key")
-        var = int(entry["level"])
+        var = _shaped(entry["level"], int, "'level'")
         pos = system.position(var)
-        for raw in entry.get("stages", ()):
-            if "context" in raw:
-                ctx = Context.of({int(k): int(v) for k, v in raw["context"].items()})
-                levels[pos].append(Stage(var, ctx))
+        for raw in _shaped(entry.get("stages", ()), list, "'stages'"):
+            if "context" in _shaped(raw, dict, "a stage entry"):
+                levels[pos].append(Stage(var, _fixture_context(raw["context"])))
             elif "members" in raw:
-                members = tuple(_parse_member(m) for m in raw["members"])
+                given = _shaped(raw["members"], list, "'members'", BadCardinalityError)
+                members = tuple(_parse_member(m) for m in given)
                 levels[pos].append(Stage(var, members=members))
             else:
                 raise BadIndexError("stage entry needs 'context' or 'members'")

@@ -24,7 +24,7 @@ from cstree import (
     fibers_connected,
     interpolant,
     is_balanced,
-    level_stages,
+    level_stage_map,
     outcome_probabilities,
     parse_statement,
     psi_monomial,
@@ -32,16 +32,14 @@ from cstree import (
     random_dag,
     random_point,
     stage_members,
-    stage_of,
     statement_holds,
     statement_polynomials,
-    statement_quadrics,
     statement_zero_at,
     tree_labels,
     tree_of_dag,
     vanishes,
 )
-from cstree.algebra import _tables
+from cstree.algebra import _minor_cells, _tables
 from cstree.contexts import _context_statements
 
 from conftest import load
@@ -126,22 +124,21 @@ def test_statement_polynomials_drop_zero_minors(fig1):
     st = parse_statement("1 _||_ 3 | 2")
     for poly in statement_polynomials(st, fig1.system):
         assert not poly.is_zero()
-    assert len(statement_quadrics(st, fig1.system)) >= len(
-        statement_polynomials(st, fig1.system)
-    )
+    minors = list(_minor_cells(st, fig1.system, lambda support: support))
+    assert len(minors) >= len(statement_polynomials(st, fig1.system))
 
 
 def test_context_value_out_of_range_rejected(chain):
     st = parse_statement("1 _||_ 2 [X3=5]")
     with pytest.raises(BadIndexError):
-        statement_quadrics(st, chain.system)
+        statement_polynomials(st, chain.system)
 
 
 def test_random_point_is_a_distribution(fig3):
     point = random_point(fig3, seed=11)
     for var in fig3.system.variables:
         d = fig3.system.card(var)
-        for stage in level_stages(fig3, var):
+        for stage in set(level_stage_map(fig3, var).values()):
             total = sum(point[edge_label(stage, o)] for o in range(d))
             assert total == 1
     probs = outcome_probabilities(fig3, point)
@@ -241,7 +238,7 @@ class _Reference:
         self.subs = {}
         for var in tree.system.variables:
             d = tree.system.card(var)
-            for stage in level_stages(tree, var):
+            for stage in set(level_stage_map(tree, var).values()):
                 total = SparsePoly.constant(1)
                 for o in range(d - 1):
                     total = total - SparsePoly.variable(edge_label(stage, o))
@@ -272,8 +269,7 @@ def _reference_balance(tree):
     system = tree.system
     table = {x: SparsePoly.constant(1) for x in system.outcomes()}
     for k in range(system.p - 1, -1, -1):
-        for v in system.level_vertices(k):
-            stage = stage_of(tree, v)
+        for v, stage in level_stage_map(tree, system.variables[k]).items():
             table[v] = SparsePoly.zero()
             for o in range(system.cards[k]):
                 label = SparsePoly.variable(edge_label(stage, o))
@@ -296,11 +292,7 @@ def _assert_statements_agree(tree):
     for ctx in all_contexts(tree.system):
         for statement in _context_statements(tree.system, ctx):
             expected = True
-            # statement_polynomials, expanded lazily up to the first failure
-            for quadric in statement_quadrics(statement, tree.system):
-                poly = quadric.expand(tree.system)
-                if poly.is_zero():
-                    continue
+            for poly in statement_polynomials(statement, tree.system):
                 if poly not in verdicts:
                     verdicts[poly] = reference.vanishes(poly)
                     assert vanishes(tree, poly) == verdicts[poly], (statement, poly)

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from cstree import (
+    BadIndexError,
     Context,
     PreconditionError,
     UnbalancedError,
@@ -54,6 +55,12 @@ def test_statement_binomials_chain(chain):
     }
     with pytest.raises(PreconditionError):
         statement_binomials(parse_statement("1 _||_ 3"), chain.system)
+
+
+def test_statement_binomials_reject_out_of_range_context(chain):
+    # X3 has two outcomes; a binomial on (0, 0, 5) would not be an outcome.
+    with pytest.raises(BadIndexError):
+        statement_binomials(parse_statement("1 _||_ 2 [X3=5]"), chain.system)
 
 
 def test_binomials_vanish_on_their_tree(chain, fig3):

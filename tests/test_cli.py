@@ -6,6 +6,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+import cstree
 from cstree.cli import main
 
 from conftest import fixture_path
@@ -70,6 +73,54 @@ def test_cards_given_as_a_string_are_rejected(capsys, tmp_path):
         error = _validate_error(capsys, tmp_path, fixture)
         assert error["type"] == "BadCardinality"
         assert "'cards'" in error["message"]
+
+
+def _fixture_with(**changes):
+    stage = changes.pop("stage", {"context": {"2": 0}})
+    level = {"level": 3, "stages": [stage]}
+    level.update(changes.pop("level", {}))
+    fixture = {"p": 3, "cards": [2, 2, 2], "levels": [level]}
+    fixture.update(changes)
+    return fixture
+
+
+TYPED_ERRORS = {
+    name[: -len("Error")]
+    for name, value in vars(cstree).items()
+    if isinstance(value, type) and issubclass(value, cstree.CStreeError)
+}
+
+
+@pytest.mark.parametrize(
+    "fixture,expected",
+    [
+        (_fixture_with(stage={"context": {"2": "x"}}), "BadIndex"),
+        (_fixture_with(stage={"context": [1, 0]}), "BadIndex"),
+        (_fixture_with(stage={"members": [1]}), "BadCardinality"),
+        (_fixture_with(levels=[3]), "BadIndex"),
+        (_fixture_with(levels={"level": 3}), "BadIndex"),
+        (_fixture_with(level={"stages": [5]}), "BadIndex"),
+        (_fixture_with(cards=[2, None, 2]), "BadCardinality"),
+        (_fixture_with(cards=[2, 2.5, 2]), "BadCardinality"),
+        ({"p": 2, "cards": [2, 2], "variables": "12"}, "BadIndex"),
+    ],
+    ids=[
+        "context-value-string",
+        "context-list",
+        "member-int",
+        "level-entry-int",
+        "levels-object",
+        "stage-entry-int",
+        "card-null",
+        "card-float",
+        "variables-string",
+    ],
+)
+def test_malformed_fixture_shapes_are_typed_errors(capsys, tmp_path, fixture, expected):
+    # An uncaught exception (a traceback) fails the test inside main().
+    error = _validate_error(capsys, tmp_path, fixture)
+    assert error["type"] == expected
+    assert error["type"] in TYPED_ERRORS
 
 
 def test_missing_file_is_a_usage_error(capsys):

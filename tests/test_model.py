@@ -16,12 +16,10 @@ from cstree import (
     VariableSystem,
     context_subtree,
     level_stage_map,
-    level_stages,
     random_cstree,
     spec_from_json,
     spec_to_json,
     stage_members,
-    stage_of,
     stage_statement,
     tree_of_dag,
     tree_statements,
@@ -106,22 +104,22 @@ def test_full_context_stages_are_dropped():
 
 
 def test_stage_of_falls_back_to_singleton(fig1):
-    st = stage_of(fig1, (0, 1))
-    assert st.context == Context.of({1: 0, 2: 1})
-    st2 = stage_of(fig1, (1, 0))
-    assert st2.context == Context.of({2: 0})
+    smap = level_stage_map(fig1, 3)
+    assert smap[(0, 1)].context == Context.of({1: 0, 2: 1})
+    assert smap[(1, 0)].context == Context.of({2: 0})
+    assert (0, 0, 0) not in smap
     with pytest.raises(BadIndexError):
-        stage_of(fig1, (0, 0, 0))
+        level_stage_map(fig1, 4)
 
 
 def test_level_maps_cover_layer(fig3):
     for var in fig3.system.variables:
         pos = fig3.system.position(var)
         smap = level_stage_map(fig3, var)
-        assert set(smap) == set(fig3.system.level_vertices(pos))
-        stages = level_stages(fig3, var)
-        total = sum(len(stage_members(fig3.system, s)) for s in stages)
-        assert total == len(list(fig3.system.level_vertices(pos)))
+        assert list(smap) == list(fig3.system.level_vertices(pos))
+        for stage in set(smap.values()):
+            for v in stage_members(fig3.system, stage):
+                assert smap[v] == stage
 
 
 def test_stage_statement_content(fig1):
@@ -129,7 +127,7 @@ def test_stage_statement_content(fig1):
     st = stage_statement(fig1, stage)
     assert (st.a, st.b, st.s) == ({3}, {1}, frozenset())
     assert st.context == Context.of({2: 0})
-    singleton = stage_of(fig1, (0, 1))
+    singleton = level_stage_map(fig1, 3)[(0, 1)]
     assert stage_statement(fig1, singleton) is None
 
 
