@@ -98,6 +98,10 @@ def test_balanced_pair_matches_witness(fig1, chain):
         balanced_pair(chain, (0,), (1,))
     with pytest.raises(NotSameStageError):
         balanced_pair(fig1, (0,), (0, 1))
+    with pytest.raises(BadIndexError):
+        balanced_pair(fig1, (0, 0, 0), (1, 0, 0))
+    with pytest.raises(BadIndexError):
+        balanced_pair(fig1, (0,), (5,))
 
 
 def test_audit_all_pairs_agrees_on_random_trees():
