@@ -1,8 +1,10 @@
-"""Golden orders: random trees, label order, random points and bases.
+"""Golden orders: random trees, label order, random points, minimal
+contexts and bases.
 
 Each case hashes a canonical JSON dump, so any change in a draw, in the
-label order, in the order a parameter point is filled, or in the binomials
-a basis route emits shows up here, not only in the benchmark's records.
+label order, in the order a parameter point is filled, in the minimal
+contexts and their graphs, or in the binomials a basis route emits shows
+up here, not only in the benchmark's records.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from cstree import (
     VariableSystem,
     basis_to_json,
     markov_basis_saturated,
+    minimal_contexts,
     perfect_context_basis,
     quad_lift_basis,
     random_cstree,
@@ -40,12 +43,15 @@ RANDOM_TREES = {
 }
 
 
+def _random_trees(cards):
+    rng = random.Random(11)
+    return [random_cstree(VariableSystem(cards), rng) for _ in range(40)]
+
+
 @pytest.mark.parametrize("cards", sorted(RANDOM_TREES))
 def test_random_trees_labels_and_points(cards):
-    rng = random.Random(11)
     dump = []
-    for _ in range(40):
-        tree = random_cstree(VariableSystem(cards), rng)
+    for tree in _random_trees(cards):
         dump.append(
             {
                 "tree": spec_to_json(tree),
@@ -57,6 +63,26 @@ def test_random_trees_labels_and_points(cards):
             }
         )
     assert _sha(dump) == RANDOM_TREES[cards]
+
+
+MINIMAL_CONTEXTS = {
+    (2, 2, 2): "833148fed9a34d579efdd53660cf4e0c153c699ba48577cce840974cbeeceeba",
+    (3, 2, 2): "38338a746be99f1c044818f32e5d982f13dd41e711637c74f4b22a45abd295a9",
+    (2, 2, 2, 2): "8b3b56c53924af299f6aba78694d0624033a2692f649d709cd0cd0128c7dbc20",
+    (2, 3, 2, 2): "2d23c2469f4e35aa725e419e721959f5650b40d8bae1b936f6e98ddf76ee12cc",
+}
+
+
+@pytest.mark.parametrize("cards", sorted(MINIMAL_CONTEXTS))
+def test_minimal_contexts_of_random_trees(cards):
+    dump = [
+        [
+            [str(cd.context), list(cd.dag.vertices), [list(e) for e in cd.dag.sorted_edges()]]
+            for cd in minimal_contexts(tree)
+        ]
+        for tree in _random_trees(cards)
+    ]
+    assert _sha(dump) == MINIMAL_CONTEXTS[cards]
 
 
 ROUTES = {
