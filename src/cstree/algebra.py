@@ -267,16 +267,13 @@ def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
     variables: ``marginal(support)`` gives its value from its outcomes in
     lex order and runs at most once per cell.  A variable or context value
     outside the system raises BadIndexError."""
-    for v, x in statement.context.items:
-        if not 0 <= x < system.card(v):
-            raise BadIndexError(f"context value {x} out of range for X{v}")
+    context = system.pinned(statement.context)
     blocks = [tuple(sorted(part)) for part in (statement.a, statement.b, statement.s)]
     ra, rb, rs = (
         tuple(itertools.product(*(range(system.card(v)) for v in block)))
         for block in blocks
     )
     places = [tuple(map(system.position, block)) for block in blocks]
-    context = {system.position(v): x for v, x in statement.context.items}
     cells = {}
 
     def cell(*values):

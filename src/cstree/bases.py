@@ -1,7 +1,7 @@
 """Binomial generating sets for the toric ideal of a balanced tree.
 
 Three routes: minors of saturated separation statements over the minimal
-context graphs, the quadratic-plus-lift recursion on levels, and the same
+context graphs, the quadratic-plus-lift construction level by level, and the
 saturated route after perfecting each graph.  All binomials live in the
 plain outcome-coordinate ring.
 """
@@ -103,7 +103,7 @@ def _dedup(binomials) -> tuple:
     return tuple(out)
 
 
-def _saturated_route(tree: CStreeSpec, contexts, transform, word: str) -> tuple:
+def _saturated_route(tree: CStreeSpec, transform, word: str) -> tuple:
     balanced, witness = is_balanced(tree)
     if not balanced:
         warnings.warn(
@@ -112,29 +112,25 @@ def _saturated_route(tree: CStreeSpec, contexts, transform, word: str) -> tuple:
                 f"the {word} binomials may not generate"
             )
         )
-    if contexts is None:
-        contexts = minimal_contexts(tree)
     out = []
-    for cdag in contexts:
+    for cdag in minimal_contexts(tree):
         for statement in saturated_statements(transform(cdag.dag), cdag.context):
             out.extend(statement_binomials(statement, tree.system))
     return _dedup(out)
 
 
-def markov_basis_saturated(tree: CStreeSpec, contexts=None) -> tuple:
-    """Minors of every saturated separation statement of every context graph.
-
-    ``contexts`` defaults to the minimal ones.  An unbalanced tree gets a
-    warning and the binomials anyway; they still lie in the kernel but need
-    not generate it.
+def markov_basis_saturated(tree: CStreeSpec) -> tuple:
+    """Minors of every saturated separation statement of every minimal
+    context graph.  An unbalanced tree gets a warning and the binomials
+    anyway; they still lie in the kernel but need not generate it.
     """
-    return _saturated_route(tree, contexts, lambda dag: dag, "saturated")
+    return _saturated_route(tree, lambda dag: dag, "saturated")
 
 
-def perfect_context_basis(tree: CStreeSpec, contexts=None) -> tuple:
+def perfect_context_basis(tree: CStreeSpec) -> tuple:
     """Same as the saturated route, but each context graph is first closed
     under directed moralization, enlarging parent sets until perfect."""
-    return _saturated_route(tree, contexts, lambda dag: to_perfect(dag)[0], "perfected")
+    return _saturated_route(tree, lambda dag: to_perfect(dag)[0], "perfected")
 
 
 def truncate(tree: CStreeSpec) -> CStreeSpec:
@@ -147,26 +143,20 @@ def truncate(tree: CStreeSpec) -> CStreeSpec:
 
 
 def quad_lift_basis(tree: CStreeSpec) -> tuple:
-    """Kernel generators by recursion on levels.
+    """Kernel generators built level by level on the compiled stage ids.
 
-    Quad: per last-level stage, the minors mixing two member vertices and
-    two outcomes.  Lift: each generator of the truncated tree, its minus
+    Quad: per stage of level k, the minors mixing two member vertices and
+    two outcomes.  Lift: each generator of the levels before k, its minus
     pair aligned with the plus pair stage by stage, extended by every pair
-    of last-level outcomes.  Unbalanced trees are refused, since the
+    of level-k outcomes.  Unbalanced trees are refused, since the
     stage-wise grading the lift relies on breaks down.
     """
     balanced, witness = is_balanced(tree)
     if not balanced:
         raise UnbalancedError(f"tree is not balanced: {witness}")
-
-    def build(t: CStreeSpec) -> tuple:
-        system = t.system
-        if system.p == 1:
-            return ()
-        lower = build(truncate(t))
-        var = system.variables[-1]
-        d = system.cards[-1]
-        stage_id = _compile(t).first[-1]
+    basis = ()
+    levels = zip(tree.system.variables, tree.system.cards, _compile(tree).first)
+    for var, d, stage_id in itertools.islice(levels, 1, None):
         members = {}
         for v in sorted(stage_id):
             members.setdefault(stage_id[v], []).append(v)
@@ -181,7 +171,7 @@ def quad_lift_basis(tree: CStreeSpec) -> tuple:
                             "quad",
                         )
                     )
-        for g in lower:
+        for g in basis:
             a, b = g.plus
             c1, c2 = g.minus
             s_a, s_b = stage_id[a], stage_id[b]
@@ -205,9 +195,8 @@ def quad_lift_basis(tree: CStreeSpec) -> tuple:
                                 "lift",
                             )
                         )
-        return _dedup(produced)
-
-    return build(tree)
+        basis = _dedup(produced)
+    return basis
 
 
 def basis_to_json(binomials) -> dict:

@@ -18,7 +18,7 @@ import sys
 import warnings
 
 from . import __version__
-from .errors import CStreeError
+from .errors import BadCardinalityError, BadIndexError, CStreeError
 from .model import (
     Context,
     VariableSystem,
@@ -95,9 +95,12 @@ def _parse_context(text: str) -> Context:
     if not text:
         return Context()
     pairs = {}
-    for part in text.split(","):
-        var, _, val = part.partition("=")
-        pairs[int(var.strip().lstrip("X"))] = int(val.strip())
+    try:
+        for part in text.split(","):
+            var, _, val = part.partition("=")
+            pairs[int(var.strip().lstrip("X"))] = int(val.strip())
+    except ValueError:
+        raise BadIndexError(f"context must look like '2=0,3=1', got {text!r}") from None
     return Context.of(pairs)
 
 
@@ -122,7 +125,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_contexts(args) -> int:
     tree, report = _load_tree(args.fixture)
-    cdags = minimal_contexts(tree, seed=args.seed)
+    cdags = minimal_contexts(tree)
     report["contexts"] = [
         {
             "context": str(cd.context),
@@ -144,7 +147,7 @@ def _cmd_contexts(args) -> int:
         report["dot_files"] = written
     code = 0
     if args.check_oracle:
-        mismatches = separation_disagreements(tree, cdags, seed=args.seed)
+        mismatches = separation_disagreements(tree, cdags)
         report["oracle_disagreements"] = [
             {"context": str(ctx), "statement": str(st)} for ctx, st in mismatches
         ]
@@ -263,7 +266,10 @@ def _load_dag(path, index):
     raw, envelope = _read(path)
     data = json.loads(raw)
     if isinstance(data, dict) and "dags" in data:
-        return dags_from_json(data)[index].dag, envelope
+        dags = dags_from_json(data)
+        if not 0 <= index < len(dags):
+            raise BadIndexError(f"--index {index} out of range for {len(dags)} DAGs")
+        return dags[index].dag, envelope
     parsed = dag_from_json(data)
     return (parsed.dag if isinstance(parsed, ContextDag) else parsed), envelope
 
@@ -291,7 +297,12 @@ def _cmd_subtree(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cards = tuple(int(c) for c in args.cards.split(","))
+    try:
+        cards = tuple(int(c) for c in args.cards.split(","))
+    except ValueError:
+        raise BadCardinalityError(
+            f"--cards must be comma-separated integers, got {args.cards!r}"
+        ) from None
     report = {"tool": "cstree", "version": __version__, "cards": list(cards)}
     code = 0
     if args.census or args.classify:
@@ -329,7 +340,7 @@ def _parser() -> argparse.ArgumentParser:
         "balance, moralization, and binomial Markov bases.",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for every randomized step"
+        "--seed", type=int, default=0, help="seed for verify's random points"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

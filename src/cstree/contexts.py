@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .csi import CsiStatement
+from .errors import BadIndexError
 from .graphs import ContextDag, Dag, saturated_statements
-from .model import (
-    Context,
-    CStreeSpec,
-    VariableSystem,
-    context_subtree,
-    level_stage_map,
-)
+from .model import Context, CStreeSpec, VariableSystem
 from .algebra import (
+    _compile,
     outcome_probabilities,
     random_point,
     statement_holds,
@@ -24,33 +21,34 @@ from .algebra import (
 def context_dag(tree: CStreeSpec, context=Context()) -> ContextDag:
     """The DAG over the unpinned variables read off the staging.
 
-    An earlier variable i parents j when some pair of vertices of the
-    context subtree, differing only in coordinate i, lies in two different
-    stages of j's level; a constant line means j ignores i there.
+    An earlier unpinned variable i parents j when some pair of vertices of
+    j's layer, agreeing with the context's earlier pins and differing only
+    in coordinate i, has two different compiled stage ids; a constant line
+    means j ignores i there.  This is the empty-context graph of
+    ``context_subtree(tree, context)``, read off the tree's own compiled
+    form.  An unknown variable, a value out of range, or a context pinning
+    every variable raises BadIndexError.
     """
     ctx = Context.of(context)
-    sub = context_subtree(tree, ctx) if ctx else tree
-    system = sub.system
+    system = tree.system
+    pinned = system.pinned(ctx)
+    if len(pinned) == system.p:
+        raise BadIndexError("cannot pin every variable")
+    free = [pos for pos in range(system.p) if pos not in pinned]
+    first = _compile(tree).first
     edges = set()
-    for pos, var in enumerate(system.variables):
-        if pos == 0:
-            continue
-        smap = level_stage_map(sub, var)
-        for i in range(pos):
-            hit = False
-            for v in system.level_vertices(pos):
-                if v[i] != 0:
-                    continue
-                base = smap[v]
-                for x in range(1, system.cards[i]):
-                    if smap[v[:i] + (x,) + v[i + 1 :]] != base:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                edges.add((system.variables[i], var))
-    return ContextDag(ctx, Dag.of(system.variables, edges))
+    for n, j in enumerate(free):
+        ids = first[j]
+        axes = [(pinned[k],) if k in pinned else range(system.cards[k]) for k in range(j)]
+        for i in free[:n]:
+            line = axes[:i] + [(0,)] + axes[i + 1 :]
+            if any(
+                ids[v[:i] + (x,) + v[i + 1 :]] != ids[v]
+                for v in itertools.product(*line)
+                for x in range(1, system.cards[i])
+            ):
+                edges.add((system.variables[i], system.variables[j]))
+    return ContextDag(ctx, Dag.of((system.variables[pos] for pos in free), edges))
 
 
 def all_contexts(system: VariableSystem) -> tuple:
@@ -64,32 +62,21 @@ def all_contexts(system: VariableSystem) -> tuple:
     return tuple(out)
 
 
-class _StatementOracle:
+def _oracle(tree: CStreeSpec):
     """Memoized semantic validity of statements on one tree.
 
-    Two independent rational points give fast exact refutations; a
-    statement surviving both is confirmed by the symbolic vanishing check,
-    so the verdict is never a guess.
+    One exact rational point refutes a statement whenever some minor is
+    nonzero there; every survivor is confirmed by the symbolic vanishing
+    check, so the verdict is never a guess.
     """
+    system = tree.system
+    probs = outcome_probabilities(tree, random_point(tree))
 
-    def __init__(self, tree: CStreeSpec, seed=0):
-        self.tree = tree
-        self.system = tree.system
-        self._probs = [
-            outcome_probabilities(tree, random_point(tree, seed)),
-            outcome_probabilities(tree, random_point(tree, seed + 1)),
-        ]
-        self._cache = {}
+    @functools.cache
+    def verdict(key: CsiStatement) -> bool:
+        return statement_zero_at(key, system, probs) and statement_holds(tree, key)
 
-    def holds(self, statement: CsiStatement) -> bool:
-        key = statement.canonicalize()
-        verdict = self._cache.get(key)
-        if verdict is None:
-            verdict = all(
-                statement_zero_at(key, self.system, probs) for probs in self._probs
-            ) and statement_holds(self.tree, key)
-            self._cache[key] = verdict
-        return verdict
+    return lambda statement: verdict(statement.canonicalize())
 
 
 def _context_statements(system: VariableSystem, ctx: Context):
@@ -108,7 +95,7 @@ def _context_statements(system: VariableSystem, ctx: Context):
         yield CsiStatement(a, b, s, ctx)
 
 
-def _absorbable(oracle: _StatementOracle, statement: CsiStatement) -> bool:
+def _absorbable(holds, statement: CsiStatement) -> bool:
     """Whether some nonempty part of the context can move into the
     conditioning set without breaking validity."""
     keys = statement.context.keys
@@ -120,12 +107,12 @@ def _absorbable(oracle: _StatementOracle, statement: CsiStatement) -> bool:
                 statement.s | set(t),
                 statement.context.drop(t),
             )
-            if oracle.holds(wider):
+            if holds(wider):
                 return True
     return False
 
 
-def minimal_contexts(tree: CStreeSpec, seed=0) -> tuple:
+def minimal_contexts(tree: CStreeSpec) -> tuple:
     """The contexts that carry irreducible independence, with their graphs.
 
     A context is kept when some statement valid in it stays tied to it:
@@ -134,17 +121,17 @@ def minimal_contexts(tree: CStreeSpec, seed=0) -> tuple:
     statement holds).  Validity is decided by the semantic oracle; the
     graphs come from ``context_dag``.
     """
-    oracle = _StatementOracle(tree, seed)
+    holds = _oracle(tree)
     kept = [context_dag(tree, Context())]
     for ctx in all_contexts(tree.system)[1:]:
         for statement in _context_statements(tree.system, ctx):
-            if oracle.holds(statement) and not _absorbable(oracle, statement):
+            if holds(statement) and not _absorbable(holds, statement):
                 kept.append(context_dag(tree, ctx))
                 break
     return tuple(kept)
 
 
-def separation_disagreements(tree: CStreeSpec, cdags, seed=0) -> tuple:
+def separation_disagreements(tree: CStreeSpec, cdags) -> tuple:
     """Separation claims of context graphs that the semantic oracle refutes.
 
     A sound graph produces nothing: every saturated statement it separates
@@ -154,10 +141,10 @@ def separation_disagreements(tree: CStreeSpec, cdags, seed=0) -> tuple:
     on a later outcome reweights the earlier levels), which is exactly what
     this surfaces.
     """
-    oracle = _StatementOracle(tree, seed)
+    holds = _oracle(tree)
     out = []
     for cdag in cdags:
         for statement in saturated_statements(cdag.dag, cdag.context):
-            if not oracle.holds(statement):
+            if not holds(statement):
                 out.append((cdag.context, statement))
     return tuple(out)

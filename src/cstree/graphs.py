@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .csi import CsiStatement
 from .errors import BadGraphError, PreconditionError
-from .model import Context
+from .model import Context, _fixture_context, _shaped
 
 
 @dataclass(frozen=True)
@@ -406,14 +406,30 @@ def dag_to_json(value) -> dict:
     }
 
 
+def _edge(value) -> tuple:
+    edge = _shaped(value, list, "an edge", BadGraphError)
+    if len(edge) != 2:
+        raise BadGraphError(f"an edge must be a pair of vertices, got {value!r}")
+    return tuple(_shaped(v, int, "an edge end", BadGraphError) for v in edge)
+
+
 def dag_from_json(data):
-    """Parse a Dag, or a ContextDag when a ``context`` field is present."""
+    """Parse a Dag, or a ContextDag when a ``context`` field is present.
+
+    ``{"vertices": [1, 2, 3], "edges": [[1, 3]], "context": {"4": 0}}``; a
+    field of the wrong JSON type raises BadGraphError (BadIndexError for
+    the context)."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    dag = Dag.of(data["vertices"], data.get("edges", ()))
+    if "vertices" not in _shaped(data, dict, "a DAG fixture", BadGraphError):
+        raise BadGraphError("DAG fixture needs a 'vertices' list")
+    vertices = _shaped(data["vertices"], list, "'vertices'", BadGraphError)
+    dag = Dag.of(
+        (_shaped(v, int, "a vertex", BadGraphError) for v in vertices),
+        map(_edge, _shaped(data.get("edges", ()), list, "'edges'", BadGraphError)),
+    )
     if "context" in data:
-        ctx = Context.of({int(k): int(v) for k, v in data["context"].items()})
-        return ContextDag(ctx, dag)
+        return ContextDag(_fixture_context(data["context"]), dag)
     return dag
 
 
@@ -424,8 +440,10 @@ def dags_from_json(data) -> tuple:
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if "dags" not in _shaped(data, dict, "a DAG collection", BadGraphError):
+        raise BadGraphError("DAG collection needs a 'dags' list")
     out = []
-    for entry in data["dags"]:
+    for entry in _shaped(data["dags"], list, "'dags'", BadGraphError):
         parsed = dag_from_json(entry)
         if isinstance(parsed, Dag):
             parsed = ContextDag(Context(), parsed)

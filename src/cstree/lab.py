@@ -217,7 +217,12 @@ def classify_p3(tree: CStreeSpec) -> Classification:
     system = tree.system
     if system.p != 3 or system.variables != (1, 2, 3):
         raise NotP3Error(f"need variables (1, 2, 3), got {system.variables}")
-    contexts = minimal_contexts(tree)
+    return _classify(tree, minimal_contexts(tree))
+
+
+def _classify(tree: CStreeSpec, contexts) -> Classification:
+    """``classify_p3`` given the tree's minimal contexts."""
+    system = tree.system
     if len(contexts) == 1:
         graph = contexts[0].dag
         if tree == tree_of_dag(graph, system.cards):
@@ -294,7 +299,7 @@ def check_theorem_p3(cards=(2, 2, 2), max_trees=200_000) -> TheoremReport:
                     "perfect_contexts": perfect,
                 }
             )
-        kind = classify_p3(tree).kind
+        kind = _classify(tree, contexts).kind
         report.histogram[kind] = report.histogram.get(kind, 0) + 1
     report.violations = tuple(violations)
     return report

@@ -131,6 +131,17 @@ class VariableSystem:
     def card(self, var: int) -> int:
         return self.cards[self.position(var)]
 
+    def pinned(self, context) -> dict:
+        """{position: value} for a context; an unknown variable or a value
+        out of range raises BadIndexError."""
+        out = {}
+        for v, x in Context.of(context).items:
+            pos = self.position(v)
+            if not 0 <= x < self.cards[pos]:
+                raise BadIndexError(f"context value {x} out of range for X{v}")
+            out[pos] = x
+        return out
+
     def prior_variables(self, var: int) -> tuple:
         return self.variables[: self.position(var)]
 
@@ -340,24 +351,20 @@ def context_subtree(tree: CStreeSpec, context) -> CStreeSpec:
     """
     system = tree.system
     ctx = Context.of(context)
-    for v, x in ctx.items:
-        if not 0 <= x < system.card(v):
-            raise BadIndexError(f"context value {x} out of range for X{v}")
-    fixed = set(ctx.keys)
-    keep = [v for v in system.variables if v not in fixed]
+    pinned = system.pinned(ctx)
+    keep = [v for pos, v in enumerate(system.variables) if pos not in pinned]
     if not keep:
         raise BadIndexError("cannot pin every variable")
     sub_system = VariableSystem(tuple(system.card(v) for v in keep), tuple(keep))
-    levels = []
-    for var in keep:
-        stages = []
-        for st in tree.listed_stages(var):
-            if not st.context.agrees_with(ctx):
-                continue
-            rest = st.context.drop(fixed)
-            stages.append(Stage(var, rest))
-        levels.append(tuple(stages))
-    return validate(CStreeSpec(sub_system, tuple(levels)))
+    levels = tuple(
+        tuple(
+            Stage(var, st.context.drop(ctx.keys))
+            for st in tree.listed_stages(var)
+            if st.context.agrees_with(ctx)
+        )
+        for var in keep
+    )
+    return validate(CStreeSpec(sub_system, levels))
 
 
 def format_outcome(values) -> str:

@@ -123,6 +123,78 @@ def test_malformed_fixture_shapes_are_typed_errors(capsys, tmp_path, fixture, ex
     assert error["type"] in TYPED_ERRORS
 
 
+@pytest.mark.parametrize(
+    "argv,fixture,expected",
+    [
+        (["moralize", FIG1], None, "BadGraph"),
+        (["moralize", "--index", "7", FIG5], None, "BadIndex"),
+        (["moralize", "--index", "-1", FIG5], None, "BadIndex"),
+        (["moralize"], {"dags": 5}, "BadGraph"),
+        (["moralize"], [1, 2], "BadGraph"),
+        (["moralize"], {"vertices": "12"}, "BadGraph"),
+        (["moralize"], {"vertices": [1, 2.5]}, "BadGraph"),
+        (["moralize"], {"vertices": [1, 2], "edges": [[1]]}, "BadGraph"),
+        (["moralize"], {"vertices": [1, 2], "context": {"3": "x"}}, "BadIndex"),
+        (["enumerate", "--cards", "2,x"], None, "BadCardinality"),
+        (["subtree", FIG1, "--context", "a=1"], None, "BadIndex"),
+    ],
+    ids=[
+        "tree-fixture-as-dag",
+        "index-past-end",
+        "index-negative",
+        "dags-int",
+        "dag-list",
+        "vertices-string",
+        "vertex-float",
+        "edge-single",
+        "dag-context-value-string",
+        "cards-letter",
+        "context-variable-letter",
+    ],
+)
+def test_malformed_dags_and_arguments_are_typed_errors(
+    capsys, tmp_path, argv, fixture, expected
+):
+    if fixture is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(fixture))
+        argv = argv + [str(path)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == expected
+
+
+FIXTURES = sorted(path.name for path in fixture_path("fig1.json").parent.glob("*.json"))
+
+COMMANDS = {
+    "validate": [],
+    "contexts": ["--check-oracle"],
+    "balance": ["--witness"],
+    "basis": [],
+    "verify": ["--symbolic", "--random", "--fiber-bound", "1"],
+    "moralize": [],
+    "subtree": ["--context", "1=0"],
+    "classify": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_command_on_every_fixture_ends_cleanly(capsys, command, name):
+    # An uncaught exception (a traceback) fails the test inside main().
+    argv = [command, str(fixture_path(name))] + COMMANDS[command]
+    code, out, err = _run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert set(json.loads(err)) == {"error"}
+    else:
+        json.loads(out)
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, _, err = _run(capsys, "validate", "no-such-file.json")
     assert code == 1
