@@ -131,11 +131,11 @@ class VariableSystem:
     def card(self, var: int) -> int:
         return self.cards[self.position(var)]
 
-    def pinned(self, context) -> dict:
+    def pinned(self, context: Context) -> dict:
         """{position: value} for a context; an unknown variable or a value
         out of range raises BadIndexError."""
         out = {}
-        for v, x in Context.of(context).items:
+        for v, x in context.items:
             pos = self.position(v)
             if not 0 <= x < self.cards[pos]:
                 raise BadIndexError(f"context value {x} out of range for X{v}")
