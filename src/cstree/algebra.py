@@ -31,14 +31,18 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .csi import CsiStatement
-from .errors import BadIndexError, BoundTooLargeError, NotSameStageError
+from .errors import (
+    BadIndexError,
+    BoundTooLargeError,
+    NotSameStageError,
+    PreconditionError,
+)
 from .model import (
     Context,
     CStreeSpec,
     Stage,
     VariableSystem,
     level_stage_map,
-    stage_members,
 )
 from .poly import Monomial, SparsePoly
 
@@ -96,6 +100,18 @@ class _Compiled:
                 for o in range(d)
             }
         self.paths = paths
+
+    @cached_property
+    def stages(self) -> list:
+        """Per depth k, compiled stage id -> its member vertices in lex
+        order, ids ascending (the stages' context order)."""
+        out = []
+        for first in self.first:
+            members = {}
+            for v, i in first.items():
+                members.setdefault(i, []).append(v)
+            out.append(dict(sorted(members.items())))
+        return out
 
     @cached_property
     def images(self) -> dict:
@@ -240,20 +256,20 @@ def is_balanced(tree: CStreeSpec, audit_all_pairs=False):
     through the representative; ``audit_all_pairs`` checks every pair
     anyway.
     """
-    system = tree.system
-    tables = _compile(tree).interpolants
-    for k, var in enumerate(system.variables):
-        for stage in tree.listed_stages(var):
-            members = stage_members(system, stage)
+    compiled = _compile(tree)
+    tables, cards = compiled.interpolants, tree.system.cards
+    for k, stages in enumerate(compiled.stages):
+        for i, members in stages.items():
             if audit_all_pairs:
                 pairs = itertools.combinations(members, 2)
             else:
                 rep = members[0]
                 pairs = ((rep, m) for m in members[1:])
             for v, w in pairs:
-                failing = _failing_outcomes(tables[k + 1], v, w, system.cards[k])
+                failing = _failing_outcomes(tables[k + 1], v, w, cards[k])
                 if failing is not None:
-                    return False, BalanceWitness(k, stage.context, (v, w), failing)
+                    context = Context(compiled.labels[i].stage_context)
+                    return False, BalanceWitness(k, context, (v, w), failing)
     return True, None
 
 
@@ -456,8 +472,11 @@ def fibers_connected(
     most ``bound``; a fiber collects tables with equal row marginals under
     the exponent matrix.  Moves apply in both directions wherever they keep
     the table nonnegative.  A disconnected fiber is reported through two
-    tables from different components.
+    tables from different components.  A negative bound raises
+    PreconditionError.
     """
+    if bound < 0:
+        raise PreconditionError(f"fiber bound must be non-negative, got {bound}")
     n = len(matrix.outcomes)
     expected = math.comb(n + bound, bound)
     if expected > table_budget:

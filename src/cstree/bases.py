@@ -155,14 +155,13 @@ def quad_lift_basis(tree: CStreeSpec) -> tuple:
     if not balanced:
         raise UnbalancedError(f"tree is not balanced: {witness}")
     basis = ()
-    levels = zip(tree.system.variables, tree.system.cards, _compile(tree).first)
-    for var, d, stage_id in itertools.islice(levels, 1, None):
-        members = {}
-        for v in sorted(stage_id):
-            members.setdefault(stage_id[v], []).append(v)
+    compiled = _compile(tree)
+    system = tree.system
+    levels = zip(system.variables, system.cards, compiled.first, compiled.stages)
+    for var, d, stage_id, stages in itertools.islice(levels, 1, None):
         produced = []
-        for i in sorted(members):
-            for x, y in itertools.combinations(members[i], 2):
+        for members in stages.values():
+            for x, y in itertools.combinations(members, 2):
                 for k1, k2 in itertools.combinations(range(d), 2):
                     produced.append(
                         canonical_binomial(

@@ -18,7 +18,7 @@ import sys
 import warnings
 
 from . import __version__
-from .errors import BadCardinalityError, BadIndexError, CStreeError
+from .errors import BadCardinalityError, BadIndexError, CStreeError, PreconditionError
 from .model import (
     Context,
     VariableSystem,
@@ -97,8 +97,11 @@ def _parse_context(text: str) -> Context:
     pairs = {}
     try:
         for part in text.split(","):
-            var, _, val = part.partition("=")
-            pairs[int(var.strip().lstrip("X"))] = int(val.strip())
+            name, _, val = part.partition("=")
+            var = int(name.strip().lstrip("X"))
+            if var in pairs:
+                raise BadIndexError(f"X{var} is pinned twice in {text!r}")
+            pairs[var] = int(val.strip())
     except ValueError:
         raise BadIndexError(f"context must look like '2=0,3=1', got {text!r}") from None
     return Context.of(pairs)
@@ -204,11 +207,20 @@ def _cmd_basis(args) -> int:
 def _cmd_verify(args) -> int:
     tree, report = _load_tree(args.fixture)
     names = list(_METHODS) if args.method == "all" else [args.method]
+    if args.trials < 1:
+        raise PreconditionError(f"--trials must be at least 1, got {args.trials}")
     bound = args.fiber_bound
     cap = os.environ.get("CSTREE_MAX_FIBER")
-    capped = cap is not None and bound > int(cap)
+    if cap is not None:
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise PreconditionError(
+                f"CSTREE_MAX_FIBER must be an integer, got {cap!r}"
+            ) from None
+    capped = cap is not None and bound > cap
     if capped:
-        bound = int(cap)
+        bound = cap
     matrix = exponent_matrix(tree)
     rng = random.Random(args.seed)
     run_random = args.random or not args.symbolic

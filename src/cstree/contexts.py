@@ -65,18 +65,30 @@ def all_contexts(system: VariableSystem) -> tuple:
 def _oracle(tree: CStreeSpec):
     """Memoized semantic validity of statements on one tree.
 
-    One exact rational point refutes a statement whenever some minor is
-    nonzero there; every survivor is confirmed by the symbolic vanishing
-    check, so the verdict is never a guess.
+    The one question decided, and memoized by (A, B, context), is the
+    marginal independence A _||_ B in a context: one exact rational point
+    refutes it whenever some minor is nonzero there, and every survivor is
+    confirmed by the symbolic vanishing check, so the verdict is never a
+    guess.  ``holds(a, b, s, ctx)`` is the AND of these answers over x_S in
+    lex order: A _||_ B | S [C] has exactly the minors of A _||_ B in the
+    contexts C, S = x_S.
     """
     system = tree.system
     probs = outcome_probabilities(tree, random_point(tree))
 
     @functools.cache
-    def verdict(key: CsiStatement) -> bool:
-        return statement_zero_at(key, system, probs) and statement_holds(tree, key)
+    def independent(a, b, ctx: Context) -> bool:
+        st = CsiStatement(a, b, frozenset(), ctx)
+        return statement_zero_at(st, system, probs) and statement_holds(tree, st)
 
-    return lambda statement: verdict(statement.canonicalize())
+    def holds(a, b, s, ctx: Context) -> bool:
+        s = sorted(s)
+        return all(
+            independent(a, b, Context.of(ctx.items + tuple(zip(s, xs))))
+            for xs in itertools.product(*(range(system.card(v)) for v in s))
+        )
+
+    return holds
 
 
 def _context_statements(system: VariableSystem, ctx: Context):
@@ -95,37 +107,25 @@ def _context_statements(system: VariableSystem, ctx: Context):
         yield CsiStatement(a, b, s, ctx)
 
 
-def _absorbable(holds, statement: CsiStatement) -> bool:
-    """Whether some nonempty part of the context can move into the
-    conditioning set without breaking validity."""
-    keys = statement.context.keys
-    for size in range(len(keys), 0, -1):
-        for t in itertools.combinations(keys, size):
-            wider = CsiStatement(
-                statement.a,
-                statement.b,
-                statement.s | set(t),
-                statement.context.drop(t),
-            )
-            if holds(wider):
-                return True
-    return False
-
-
 def minimal_contexts(tree: CStreeSpec) -> tuple:
     """The contexts that carry irreducible independence, with their graphs.
 
     A context is kept when some statement valid in it stays tied to it:
-    un-pinning any nonempty part of the context breaks the statement.  The
-    empty context always leads the list (a complete graph when no global
-    statement holds).  Validity is decided by the semantic oracle; the
-    graphs come from ``context_dag``.
+    un-pinning any nonempty part T of the context, that is moving T into
+    the conditioning set, breaks the statement.  The wider statement holds
+    exactly when the statement holds in every sibling context re-pinning T,
+    so it is enough to try each pinned variable alone: a T that absorbs
+    makes each of its variables absorb.  The empty context always leads the
+    list (a complete graph when no global statement holds).  Validity is
+    decided by the semantic oracle; the graphs come from ``context_dag``.
     """
     holds = _oracle(tree)
     kept = [context_dag(tree, Context())]
     for ctx in all_contexts(tree.system)[1:]:
-        for statement in _context_statements(tree.system, ctx):
-            if holds(statement) and not _absorbable(holds, statement):
+        for st in _context_statements(tree.system, ctx):
+            if holds(st.a, st.b, st.s, ctx) and not any(
+                holds(st.a, st.b, st.s | {v}, ctx.drop((v,))) for v in ctx.keys
+            ):
                 kept.append(context_dag(tree, ctx))
                 break
     return tuple(kept)
@@ -145,6 +145,6 @@ def separation_disagreements(tree: CStreeSpec, cdags) -> tuple:
     out = []
     for cdag in cdags:
         for statement in saturated_statements(cdag.dag, cdag.context):
-            if not holds(statement):
+            if not holds(statement.a, statement.b, statement.s, statement.context):
                 out.append((cdag.context, statement))
     return tuple(out)

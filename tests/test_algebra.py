@@ -12,6 +12,7 @@ from cstree import (
     BalanceWitness,
     BoundTooLargeError,
     Context,
+    CsiStatement,
     EdgeLabel,
     NotSameStageError,
     SparsePoly,
@@ -334,6 +335,35 @@ def test_exactness_gate_statements_on_random_trees():
     for system in systems:
         seen |= _assert_statements_agree(random_cstree(system, rng))
     assert seen == {True, False}
+
+
+def test_conditional_statement_is_the_and_of_its_slices():
+    # A _||_ B | S [C] has exactly the minors of A _||_ B in the contexts
+    # C, S = x_S, so both checks must agree with the AND over those slices.
+    trees = [load(name) for name in TREE_FIXTURES]
+    rng = random.Random(5)
+    for cards in ((3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2), (2, 2, 2, 2)):
+        trees.append(random_cstree(VariableSystem(cards), rng))
+    verdicts = set()
+    for tree in trees:
+        system = tree.system
+        probs = outcome_probabilities(tree, random_point(tree))
+        for ctx in all_contexts(system):
+            for st in _context_statements(system, ctx):
+                if not st.s:
+                    continue
+                s = sorted(st.s)
+                slices = [
+                    CsiStatement(st.a, st.b, (), ctx.merge(zip(s, xs)))
+                    for xs in itertools.product(*(range(system.card(v)) for v in s))
+                ]
+                holds = statement_holds(tree, st)
+                assert holds == all(statement_holds(tree, sl) for sl in slices), st
+                assert statement_zero_at(st, system, probs) == all(
+                    statement_zero_at(sl, system, probs) for sl in slices
+                ), st
+                verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 def test_exactness_gate_balance():

@@ -137,6 +137,7 @@ def test_malformed_fixture_shapes_are_typed_errors(capsys, tmp_path, fixture, ex
         (["moralize"], {"vertices": [1, 2], "context": {"3": "x"}}, "BadIndex"),
         (["enumerate", "--cards", "2,x"], None, "BadCardinality"),
         (["subtree", FIG1, "--context", "a=1"], None, "BadIndex"),
+        (["subtree", FIG1, "--context", "2=0,2=1"], None, "BadIndex"),
     ],
     ids=[
         "tree-fixture-as-dag",
@@ -150,6 +151,7 @@ def test_malformed_fixture_shapes_are_typed_errors(capsys, tmp_path, fixture, ex
         "dag-context-value-string",
         "cards-letter",
         "context-variable-letter",
+        "context-variable-repeated",
     ],
 )
 def test_malformed_dags_and_arguments_are_typed_errors(
@@ -301,6 +303,35 @@ def test_fiber_bound_cap(capsys, monkeypatch):
     fibers = report["methods"]["sat"]["fibers"]
     assert fibers["bound"] == 1
     assert fibers["fiber_bound_capped"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        (["--fiber-bound", "-1"], None),
+        ([], "x"),
+        ([], "-2"),
+        (["--trials", "0"], None),
+        (["--trials", "-1"], None),
+    ],
+    ids=[
+        "fiber-bound-negative",
+        "cap-letter",
+        "cap-negative",
+        "trials-zero",
+        "trials-negative",
+    ],
+)
+def test_verify_bounds_are_typed_errors(capsys, monkeypatch, argv, cap):
+    if cap is None:
+        monkeypatch.delenv("CSTREE_MAX_FIBER", raising=False)
+    else:
+        monkeypatch.setenv("CSTREE_MAX_FIBER", cap)
+    code, out, err = _run(capsys, "verify", CHAIN, "--method", "sat", *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == "Precondition"
 
 
 def test_moralize_single_pass_and_iterate(capsys):
