@@ -5,7 +5,9 @@ product of edge labels along the root-to-leaf path of x.  Each validated
 tree is compiled once (``_compile``, the module's single tree-keyed cache)
 into integer form: label ids in ``tree_labels`` order, each outcome's
 path-label ids, and polynomials as ``dict[tuple[int, ...], int]`` keyed by
-sorted id tuples.  The compiled form carries two derived tables:
+sorted id tuples.  The compiled form carries two derived tables, and a
+slot for the tree's minimal contexts that ``contexts.minimal_contexts``
+fills on its first search:
 
 - the interpolants, per vertex the sum of its below-path label products,
   in the plain label ring (balance);
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -100,6 +102,8 @@ class _Compiled:
                 for o in range(d)
             }
         self.paths = paths
+        # Filled by contexts.minimal_contexts, which this module cannot import.
+        self.minimal_contexts = None
 
     @cached_property
     def stages(self) -> list:
@@ -415,6 +419,8 @@ class ExponentMatrix:
     labels: tuple
     outcomes: tuple
     columns: tuple
+    # bound -> _fiber_groups' result, freed with the matrix.
+    _fibers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def marginal(self, table) -> tuple:
         """Row sums A u for a table aligned with ``outcomes``."""
@@ -455,26 +461,25 @@ class FiberReport:
 
 def _tables(total: int, length: int):
     """Nonnegative integer vectors of the given length and total, in lex
-    order: stars and bars, the bar positions drawn in lex order."""
-    slots = total + length - 1
-    for bars in itertools.combinations(range(slots), length - 1):
-        yield tuple(
-            end - start - 1 for start, end in zip((-1,) + bars, bars + (slots,))
-        )
+    order.  A vector counts a multiset of positions, and of two vectors the
+    lex-smaller one has the lex-larger sorted positions, so the multisets
+    run backwards."""
+    for units in reversed(
+        list(itertools.combinations_with_replacement(range(length), total))
+    ):
+        table = [0] * length
+        for k in units:
+            table[k] += 1
+        yield tuple(table)
 
 
-def fibers_connected(
-    matrix: ExponentMatrix, moves, bound=2, table_budget=2_000_000
-) -> FiberReport:
-    """Check that a move set connects every fiber of small tables.
+_TABLE_BUDGET = 2_000_000
 
-    Tables are nonnegative integer vectors over the outcomes with total at
-    most ``bound``; a fiber collects tables with equal row marginals under
-    the exponent matrix.  Moves apply in both directions wherever they keep
-    the table nonnegative.  A disconnected fiber is reported through two
-    tables from different components.  A negative bound raises
-    PreconditionError.
-    """
+
+def _check_fiber_bound(matrix: ExponentMatrix, bound: int, table_budget=_TABLE_BUDGET):
+    """Refuse a fiber bound before any table is built: a negative bound
+    raises PreconditionError, and one whose tables over the matrix's outcomes
+    outnumber ``table_budget`` raises BoundTooLargeError."""
     if bound < 0:
         raise PreconditionError(f"fiber bound must be non-negative, got {bound}")
     n = len(matrix.outcomes)
@@ -483,6 +488,53 @@ def fibers_connected(
         raise BoundTooLargeError(
             f"{expected} tables at bound {bound} exceed the budget {table_budget}"
         )
+
+
+def _fiber_groups(matrix: ExponentMatrix, bound: int) -> tuple:
+    """(table count, fiber count, the fibers of two or more tables) at a
+    checked bound.  Each such fiber is (marginal, tables, table -> position,
+    the positions each table is nonzero at), tables in lex order, fibers in
+    marginal order.  The grouping depends on the matrix and the bound alone,
+    so it is kept on the matrix per bound and every move set checked against
+    it shares one enumeration."""
+    groups = matrix._fibers.get(bound)
+    if groups is None:
+        n = len(matrix.outcomes)
+        fibers = {}
+        total_tables = 0
+        for total in range(bound + 1):
+            for table in _tables(total, n):
+                total_tables += 1
+                fibers.setdefault(matrix.marginal(table), []).append(table)
+        shared = tuple(
+            (
+                marginal,
+                tables,
+                {t: i for i, t in enumerate(tables)},
+                tuple(tuple(k for k, c in enumerate(t) if c) for t in tables),
+            )
+            for marginal, tables in sorted(fibers.items())
+            if len(tables) > 1
+        )
+        groups = matrix._fibers[bound] = (total_tables, len(fibers), shared)
+    return groups
+
+
+def fibers_connected(
+    matrix: ExponentMatrix, moves, bound=2, table_budget=_TABLE_BUDGET
+) -> FiberReport:
+    """Check that a move set connects every fiber of small tables.
+
+    Tables are nonnegative integer vectors over the outcomes with total at
+    most ``bound``; a fiber collects tables with equal row marginals under
+    the exponent matrix.  Moves apply in both directions wherever they keep
+    the table nonnegative.  A disconnected fiber is reported through two
+    tables from different components.  A negative bound raises
+    PreconditionError, one past ``table_budget`` BoundTooLargeError.
+    The tables are enumerated once per matrix and bound, whatever the moves.
+    """
+    _check_fiber_bound(matrix, bound, table_budget)
+    n = len(matrix.outcomes)
     position = {x: i for i, x in enumerate(matrix.outcomes)}
     vectors = set()
     for move in moves:
@@ -494,22 +546,19 @@ def fibers_connected(
             vec = tuple(vec)
             vectors.add(vec)
             vectors.add(tuple(-d for d in vec))
-    # Each move as (what it takes, nonzero entries): a move is skipped at the
-    # first entry it would take below zero, before any table is built.
-    sparse = []
+    # Each move as (what it takes, nonzero entries), filed under the first
+    # entry it takes: a move applies to a table only if that entry is in the
+    # table's support, and is skipped at the first entry it would take below
+    # zero.  A move that takes nothing raises the total, so it leaves every
+    # fiber.
+    by_first = {}
     for vec in vectors:
         entries = tuple((i, d) for i, d in enumerate(vec) if d)
-        sparse.append((tuple((i, -d) for i, d in entries if d < 0), entries))
-    fibers = {}
-    total_tables = 0
-    for total in range(bound + 1):
-        for table in _tables(total, n):
-            total_tables += 1
-            fibers.setdefault(matrix.marginal(table), []).append(table)
-    for marginal, tables in sorted(fibers.items()):
-        if len(tables) == 1:
-            continue
-        index = {t: i for i, t in enumerate(tables)}
+        takes = tuple((i, -d) for i, d in entries if d < 0)
+        if takes:
+            by_first.setdefault(takes[0][0], []).append((takes, entries))
+    total_tables, fiber_count, groups = _fiber_groups(matrix, bound)
+    for marginal, tables, index, supports in groups:
         parent = list(range(len(tables)))
 
         def find(i):
@@ -518,25 +567,26 @@ def fibers_connected(
                 i = parent[i]
             return i
 
-        for t in tables:
-            i = find(index[t])
-            for takes, entries in sparse:
-                for k, need in takes:
-                    if t[k] < need:
-                        break
-                else:
-                    moved = list(t)
-                    for k, d in entries:
-                        moved[k] += d
-                    j = index.get(tuple(moved))
-                    if j is not None:
-                        parent[find(j)] = i
+        for i, (t, support) in enumerate(zip(tables, supports)):
+            i = find(i)
+            for first in support:
+                for takes, entries in by_first.get(first, ()):
+                    for k, need in takes:
+                        if t[k] < need:
+                            break
+                    else:
+                        moved = list(t)
+                        for k, d in entries:
+                            moved[k] += d
+                        j = index.get(tuple(moved))
+                        if j is not None:
+                            parent[find(j)] = i
         roots = {}
         for t in tables:
             roots.setdefault(find(index[t]), t)
         if len(roots) > 1:
             first, second = list(roots.values())[:2]
             return FiberReport(
-                False, bound, total_tables, len(fibers), (marginal, first, second)
+                False, bound, total_tables, fiber_count, (marginal, first, second)
             )
-    return FiberReport(True, bound, total_tables, len(fibers), None)
+    return FiberReport(True, bound, total_tables, fiber_count, None)

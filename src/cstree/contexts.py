@@ -118,7 +118,17 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     makes each of its variables absorb.  The empty context always leads the
     list (a complete graph when no global statement holds).  Validity is
     decided by the semantic oracle; the graphs come from ``context_dag``.
+    The search runs once per compiled tree, which keeps its result, so the
+    bases, ``contexts`` and the census share it.
     """
+    compiled = _compile(tree)
+    if compiled.minimal_contexts is None:
+        compiled.minimal_contexts = _minimal_contexts(tree)
+    return compiled.minimal_contexts
+
+
+def _minimal_contexts(tree: CStreeSpec) -> tuple:
+    """The search behind ``minimal_contexts``, uncached."""
     holds = _oracle(tree)
     kept = [context_dag(tree, Context())]
     for ctx in all_contexts(tree.system)[1:]:

@@ -87,11 +87,6 @@ class UndirectedGraph:
     def adjacent(self, u, v) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def neighbors(self, v) -> frozenset:
-        return frozenset(
-            (b if a == v else a) for a, b in self.edges if v in (a, b)
-        )
-
     def sorted_edges(self) -> tuple:
         return tuple(sorted(self.edges))
 

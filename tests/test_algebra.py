@@ -1,6 +1,7 @@
 """Labels, interpolants, balance, vanishing, points, and fibers."""
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,12 @@ from cstree import (
     interpolant,
     is_balanced,
     level_stage_map,
+    markov_basis_saturated,
     outcome_probabilities,
     parse_statement,
+    perfect_context_basis,
     psi_monomial,
+    quad_lift_basis,
     random_cstree,
     random_dag,
     random_point,
@@ -40,10 +44,12 @@ from cstree import (
     tree_of_dag,
     vanishes,
 )
+from cstree import algebra
 from cstree.algebra import _minor_cells, _tables
+from cstree.cli import main
 from cstree.contexts import _context_statements
 
-from conftest import load
+from conftest import fixture_path, load
 
 
 @dataclass(frozen=True)
@@ -379,3 +385,42 @@ def test_exactness_gate_balance():
         assert is_balanced(tree) == expected
         verdicts.add(expected[0])
     assert verdicts == {True, False}
+
+
+BALANCED = (
+    "fig3.json",
+    "fig4.json",
+    "fig4_textreading.json",
+    "fig5_tree.json",
+    "chain123.json",
+)
+
+
+@pytest.mark.parametrize("name", BALANCED)
+def test_a_reused_matrix_reports_as_a_fresh_one(name):
+    # The bounds interleave, so each sweep reads the grouping of its own bound.
+    tree = load(name)
+    matrix = exponent_matrix(tree)
+    routes = (markov_basis_saturated, quad_lift_basis, perfect_context_basis)
+    bases = [route(tree) for route in routes]
+    for bound in (1, 3, 2):
+        for moves in bases + [bases[0][: len(bases[0]) // 2]]:
+            fresh = fibers_connected(exponent_matrix(tree), moves, bound=bound)
+            assert fibers_connected(matrix, moves, bound=bound) == fresh
+
+
+def test_verify_enumerates_the_tables_once_per_bound(capsys, monkeypatch):
+    totals = []
+
+    def counted(total, length):
+        totals.append(total)
+        return _tables(total, length)
+
+    monkeypatch.setattr(algebra, "_tables", counted)
+    fixture = str(fixture_path("fig5_tree.json"))
+    argv = ["verify", "--method", "all", "--fiber-bound", "3", fixture]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    tables = [entry["fibers"]["tables"] for entry in report["methods"].values()]
+    assert tables == [6545] * 3
+    assert totals == [0, 1, 2, 3]

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 import cstree
+from cstree import cli
+from cstree.bases import canonical_binomial
 from cstree.cli import main
 
 from conftest import fixture_path
@@ -332,6 +334,66 @@ def test_verify_bounds_are_typed_errors(capsys, monkeypatch, argv, cap):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]["type"] == "Precondition"
+
+
+@pytest.mark.parametrize(
+    "argv,cap,kind",
+    [
+        (["--fiber-bound", "40"], None, "BoundTooLarge"),
+        (["--fiber-bound", "-1"], None, "Precondition"),
+        ([], "-2", "Precondition"),
+    ],
+    ids=["fiber-bound-40", "fiber-bound-negative", "cap-negative"],
+)
+def test_verify_checks_the_bound_before_any_basis(capsys, monkeypatch, argv, cap, kind):
+    def refuse(tree):
+        raise AssertionError("a basis was built before the bound was checked")
+
+    monkeypatch.setattr(cli, "_METHODS", dict.fromkeys(cli._METHODS, refuse))
+    if cap is None:
+        monkeypatch.delenv("CSTREE_MAX_FIBER", raising=False)
+    else:
+        monkeypatch.setenv("CSTREE_MAX_FIBER", cap)
+    fixture = str(fixture_path("fig5_tree.json"))
+    code, out, err = _run(capsys, "verify", fixture, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == kind
+
+
+# sha256 of verify's stdout with the version replaced by VERSION, run from
+# the repository root on fixtures/<name>.json, recorded when random
+# vanishing still went through SparsePoly; one stdout for every seed.
+RANDOM_VERIFY = {
+    "fig3": "e09ebcec012265db7ae74ff77d530734abb9acd62f78a8cfec29864d82d1a71e",
+    "fig4": "cc1a511ec4ad507365859db25de70251f0000ec8dda6ed1b5cea8d1b0a3630c4",
+    "fig4_textreading": "59191dbdedb9756d1003f4a9d228039fadcfc06c611604b7f0ec3c8dcf5ceaff",
+    "fig5_tree": "98de47f45c67f95987d53158949da1cdd66aaf762100db9955ff9fbbfd892892",
+    "chain123": "15a96399d95d0eca299a106df0d4905e39e95b8ed3310041a04e7d5e6e217659",
+}
+# The sat basis of chain123 plus p000*p111 - p001*p110, which does not
+# vanish, under --random --symbolic.
+RANDOM_FAILURE = "311eba5c9ec8144ae1893e75c5029842392a48b4ff5e0ce68a84b5e36d4953d9"
+
+
+def _stdout_sha(capsys, *argv):
+    code, out, _ = _run(capsys, *argv)
+    out = out.replace(cstree.__version__, "VERSION")
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_vanishing_reports_are_unchanged(capsys, monkeypatch, seed):
+    monkeypatch.chdir(fixture_path("fig1.json").parent.parent)
+    for name, expected in RANDOM_VERIFY.items():
+        argv = ["--seed", str(seed), "verify", "--trials", "3", f"fixtures/{name}.json"]
+        assert _stdout_sha(capsys, *argv) == (0, expected), name
+    sat = cli._METHODS["sat"]
+    off_kernel = canonical_binomial(((0, 0, 0), (1, 1, 1)), ((0, 0, 1), (1, 1, 0)))
+    monkeypatch.setitem(cli._METHODS, "sat", lambda tree: sat(tree) + (off_kernel,))
+    argv = ["--seed", str(seed), "verify", "--method", "sat", "--random", "--symbolic"]
+    assert _stdout_sha(capsys, *argv, "fixtures/chain123.json") == (2, RANDOM_FAILURE)
 
 
 def test_moralize_single_pass_and_iterate(capsys):

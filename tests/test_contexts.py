@@ -23,6 +23,9 @@ from cstree import (
     statement_holds,
     tree_of_dag,
 )
+from cstree import contexts as contexts_module
+from cstree.algebra import _compile
+from cstree.cli import main
 
 from conftest import fixture_path
 
@@ -166,3 +169,32 @@ def test_context_dag_agrees_with_the_context_subtree(cards):
 def test_context_dag_rejects_bad_contexts(fig1, pins, message):
     with pytest.raises(BadIndexError, match=message):
         context_dag(fig1, Context.of(pins))
+
+
+def test_verify_searches_the_minimal_contexts_once(capsys, monkeypatch):
+    # sat and perfect both read the contexts the compiled tree keeps.
+    calls = []
+    search = contexts_module._minimal_contexts
+
+    def counted(tree):
+        calls.append(tree)
+        return search(tree)
+
+    monkeypatch.setattr(contexts_module, "_minimal_contexts", counted)
+    _compile.cache_clear()
+    fixture = str(fixture_path("fig5_tree.json"))
+    argv = ["verify", "--method", "all", "--symbolic", fixture]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cards", [(2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (2, 3, 2, 2)])
+def test_kept_minimal_contexts_equal_a_fresh_search(cards):
+    # The golden draws of tests/test_golden.py.
+    rng = random.Random(11)
+    for _ in range(40):
+        tree = random_cstree(VariableSystem(cards), rng)
+        kept = minimal_contexts(tree)
+        assert minimal_contexts(tree) is kept
+        assert kept == contexts_module._minimal_contexts(tree)
