@@ -4,10 +4,12 @@ A tree's monomial parametrization sends each outcome coordinate p_x to the
 product of edge labels along the root-to-leaf path of x.  Each validated
 tree is compiled once (``_compile``, the module's single tree-keyed cache)
 into integer form: label ids in ``tree_labels`` order, each outcome's
-path-label ids, and polynomials as ``dict[tuple[int, ...], int]`` keyed by
-sorted id tuples.  The compiled form carries two derived tables, and a
-slot for the tree's minimal contexts that ``contexts.minimal_contexts``
-fills on its first search:
+path-label ids, and polynomials as ``dict[int, int]`` keyed by packed
+monomials, one ``_WIDTH``-bit exponent field per label id (label i's
+exponent sits at bit ``_WIDTH * i``), so a product of monomials is the sum
+of their keys.  The compiled form carries two derived tables, and a slot
+for the tree's minimal contexts that ``contexts.minimal_contexts`` fills
+on its first search:
 
 - the interpolants, per vertex the sum of its below-path label products,
   in the plain label ring (balance);
@@ -15,12 +17,19 @@ fills on its first search:
   stage's last label replaced by one minus the stage's other labels, the
   sum-to-one relations taken into account (vanishing).
 
-``vanishes`` maps a polynomial in outcome coordinates to Σ c·Π E(x) and
-checks it expands to zero.  ``statement_holds`` checks each 2x2 minor in
-factored form, M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the
-same ring homomorphism applied before the product instead of after, so the
-verdict stays exact and symbolic.  ``SparsePoly`` and ``Monomial`` remain
-the public types; results are converted at the API edge.
+Both tables are multilinear, so the product of two of their polynomials
+has exponents of at most 2, which a field holds.  ``vanishes`` maps a
+polynomial in outcome coordinates to Σ c·Π E(x) and checks it expands to
+zero; a product of d images has exponents up to d, so it widens the fields
+to fit the polynomial's degree when the tables' width is too narrow.
+``statement_holds`` checks each 2x2 minor in factored form,
+M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the same ring
+homomorphism applied before the product instead of after, so the verdict
+stays exact and symbolic.  ``statement_zero_at`` evaluates the minors at
+one point instead; the minimal-context search calls it on single variable
+pairs, at an integer multiple of the point.  ``SparsePoly`` and
+``Monomial`` remain the public types; results are converted at the API
+edge.
 """
 
 from __future__ import annotations
@@ -71,13 +80,38 @@ def edge_label(stage: Stage, outcome: int) -> EdgeLabel:
     return EdgeLabel(stage.level, stage.context.items, outcome)
 
 
+# Bits per label id in a packed monomial key: exponents up to 3.
+_WIDTH = 2
+_FIELD = (1 << _WIDTH) - 1
+
+
+def _label_ids(key: int) -> list:
+    """The label ids of a packed monomial, each repeated by its exponent."""
+    ids = []
+    i = 0
+    while key:
+        ids.extend([i] * (key & _FIELD))
+        key >>= _WIDTH
+        i += 1
+    return ids
+
+
+def _widen(key: int, width: int) -> int:
+    """A packed monomial re-packed with ``width``-bit fields."""
+    out = shift = 0
+    while key:
+        out |= (key & _FIELD) << shift
+        key >>= _WIDTH
+        shift += width
+    return out
+
+
 class _Compiled:
     """One validated tree in integer form.
 
     A stage's labels get consecutive ids, so the label of vertex v and
     outcome o is ``first[k][v] + o`` at depth k, and ids grow with the
-    level: a path's ids come out sorted, and prepending or appending the
-    id of a shallower or deeper level keeps a monomial sorted.
+    level: a path's ids come out sorted.
     """
 
     def __init__(self, tree: CStreeSpec):
@@ -120,16 +154,16 @@ class _Compiled:
     @cached_property
     def images(self) -> dict:
         """outcome -> E(x), the eliminated image of p_x."""
-        layer = {(): {(): 1}}
+        layer = {(): {0: 1}}
         for k, d in enumerate(self.system.cards):
             first = self.first[k]
             nxt = {}
             for v, poly in layer.items():
                 last = dict(poly)
                 for o in range(d - 1):
-                    i = first[v] + o
-                    nxt[v + (o,)] = {m + (i,): c for m, c in poly.items()}
-                    last.update((m + (i,), -c) for m, c in poly.items())
+                    bit = 1 << _WIDTH * (first[v] + o)
+                    nxt[v + (o,)] = {m + bit: c for m, c in poly.items()}
+                    last.update((m + bit, -c) for m, c in poly.items())
                 nxt[v + (d - 1,)] = last
             layer = nxt
         return layer
@@ -138,7 +172,7 @@ class _Compiled:
     def interpolants(self) -> list:
         """Per depth k, vertex -> its interpolant; leaves give 1."""
         system = self.system
-        one = {(): 1}
+        one = {0: 1}
         tables = [None] * system.p + [{x: one for x in self.paths}]
         for k in range(system.p - 1, -1, -1):
             first, below = self.first[k], tables[k + 1]
@@ -146,8 +180,8 @@ class _Compiled:
             for v in system.level_vertices(k):
                 poly = {}
                 for o in range(system.cards[k]):
-                    i = first[v] + o
-                    poly.update(((i,) + m, c) for m, c in below[v + (o,)].items())
+                    bit = 1 << _WIDTH * (first[v] + o)
+                    poly.update((bit + m, c) for m, c in below[v + (o,)].items())
                 layer[v] = poly
             tables[k] = layer
         return tables
@@ -169,12 +203,13 @@ def _compile(tree: CStreeSpec) -> _Compiled:
 
 
 def _product_into(acc: dict, f: dict, g: dict, sign: int) -> dict:
-    """acc += sign·f·g over sorted-id-tuple monomials; zeros may remain."""
+    """acc += sign·f·g over packed monomials; zeros may remain.  The
+    fields must hold the product's exponents."""
     get = acc.get
     for m1, c1 in f.items():
         c1 *= sign
         for m2, c2 in g.items():
-            m = tuple(sorted(m1 + m2))
+            m = m1 + m2
             acc[m] = get(m, 0) + c1 * c2
     return acc
 
@@ -203,7 +238,10 @@ def interpolant(tree: CStreeSpec, vertex) -> SparsePoly:
     compiled = _compile(tree)
     poly = compiled.interpolants[len(vertex)][vertex]
     return SparsePoly(
-        {Monomial.of(*(compiled.labels[i] for i in m)): c for m, c in poly.items()}
+        {
+            Monomial.of(*(compiled.labels[i] for i in _label_ids(m))): c
+            for m, c in poly.items()
+        }
     )
 
 
@@ -340,12 +378,20 @@ def vanishes(tree: CStreeSpec, poly: SparsePoly) -> bool:
 
     Each coordinate p_x maps to its eliminated image E(x), the path label
     product with the sum-to-one relations applied, and the result must
-    expand to the zero polynomial.  Exact, no sampling involved.
+    expand to the zero polynomial.  A term of degree d has label exponents
+    up to d, so the fields are at least d's bit length wide.  Exact, no
+    sampling involved.
     """
     images = _compile(tree).images
+    width = poly.degree.bit_length()
+    if width > _WIDTH:
+        images = {
+            x: {_widen(m, width): c for m, c in images[x].items()}
+            for x in {tuple(x) for mono in poly.terms for x in mono.variables()}
+        }
     acc = {}
     for mono, coef in poly.terms.items():
-        term = {(): coef}
+        term = {0: coef}
         for x, e in mono.powers:
             for _ in range(e):
                 term = _product_into({}, term, images[tuple(x)], 1)
@@ -399,11 +445,13 @@ def statement_zero_at(
     statement: CsiStatement, system: VariableSystem, probs: dict
 ) -> bool:
     """Whether every minor of the statement evaluates to zero at a table of
-    outcome probabilities.  A nonzero minor refutes the statement exactly;
-    all-zero only suggests it, so confirm symbolically."""
+    outcome probabilities, or at that table times a positive constant,
+    which scales every minor by the constant's square.  A nonzero minor
+    refutes the statement exactly; all-zero only suggests it, so confirm
+    symbolically."""
 
     def marginal(support):
-        return sum((probs[x] for x in support), Fraction(0))
+        return sum(probs[x] for x in support)
 
     return all(
         m1 * m2 == m3 * m4

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 
 from .csi import CsiStatement
 from .errors import BadIndexError
@@ -62,49 +62,195 @@ def all_contexts(system: VariableSystem) -> tuple:
     return tuple(out)
 
 
-def _oracle(tree: CStreeSpec):
-    """Memoized semantic validity of statements on one tree.
+def _bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    The one question decided, and memoized by (A, B, context), is the
-    marginal independence A _||_ B in a context: one exact rational point
-    refutes it whenever some minor is nonzero there, and every survivor is
-    confirmed by the symbolic vanishing check, so the verdict is never a
-    guess.  ``holds(a, b, s, ctx)`` is the AND of these answers over x_S in
-    lex order: A _||_ B | S [C] has exactly the minors of A _||_ B in the
-    contexts C, S = x_S.
+
+def _inside(a: int, b: int, a0: int, b0: int) -> bool:
+    """Whether the pair (A, B) sits inside (A0, B0) either way round."""
+    return not (a & ~a0 or b & ~b0) or not (a & ~b0 or b & ~a0)
+
+
+def _bicliques(adjacency, rest: int) -> list:
+    """Every canonical pair (A, B) of disjoint nonempty position masks
+    within ``rest`` whose cross pairs are all edges, largest first.
+
+    ``adjacency[i]`` is the neighbor mask of position i, loop-free.
+    Canonical means A holds the lowest position of A | B, as in
+    ``CsiStatement.canonicalize``.  B ranges over the nonempty submasks of
+    A's common neighbors above min(A); a common neighbor of A is never in A.
     """
-    system = tree.system
-    probs = outcome_probabilities(tree, random_point(tree))
+    common = {0: rest}
+    out = []
+    for i in _bits(rest):
+        for a, shared in list(common.items()):
+            shared &= adjacency[i]
+            if not shared:
+                continue
+            a |= 1 << i
+            common[a] = shared
+            low = a & -a
+            above = shared & ~((low << 1) - 1)
+            b = above
+            while b:
+                out.append((a, b))
+                b = (b - 1) & above
+    out.sort(key=lambda ab: -(ab[0].bit_count() + ab[1].bit_count()))
+    return out
 
-    @functools.cache
-    def independent(a, b, ctx: Context) -> bool:
-        st = CsiStatement(a, b, frozenset(), ctx)
-        return statement_zero_at(st, system, probs) and statement_holds(tree, st)
 
-    def holds(a, b, s, ctx: Context) -> bool:
-        s = sorted(s)
-        return all(
-            independent(a, b, Context.of(ctx.items + tuple(zip(s, xs))))
-            for xs in itertools.product(*(range(system.card(v)) for v in s))
+class _Oracle:
+    """Exact validity of A _||_ B | S [C] on one tree, decided pair first.
+
+    A _||_ B | S [C] has exactly the minors of the marginal independences
+    A _||_ B in the slices C, S = x_S.  In a slice, each variable pair
+    (a, b) is screened once at one exact point (``statement_zero_at`` on
+    a _||_ b).  Decomposition makes a refuted pair refute every (A, B) that
+    contains it, so only the bicliques of the surviving pairs are ever
+    decided: screened at the point, then confirmed symbolically
+    (``statement_holds``) unless a statement confirmed in the same slice
+    contains them.  Every true verdict rests on a symbolic confirmation.
+
+    The point is ``random_point``'s outcome table scaled by the lcm of its
+    denominators: the same point, each minor scaled by one positive
+    constant, in integers.  Positions stand for variables and masks for
+    sets; a context is a tuple of per-position values, -1 where free.
+    """
+
+    def __init__(self, tree: CStreeSpec):
+        self.tree = tree
+        self.system = system = tree.system
+        probs = outcome_probabilities(tree, random_point(tree))
+        scale = math.lcm(*(q.denominator for q in probs.values()))
+        self.probs = {x: q.numerator * (scale // q.denominator) for x, q in probs.items()}
+        self.p = system.p
+        self._pairs = {}  # slice -> mask of surviving pairs, bit i*p + j both ways
+        self._confirmed = {}  # slice -> [(A, B)] confirmed symbolically
+        self._decided = {}  # (A, B, slice) -> verdict
+
+    def vector(self, ctx: Context) -> tuple:
+        """A context as per-position values; an unknown variable or a value
+        out of range raises BadIndexError."""
+        pinned = self.system.pinned(ctx)
+        return tuple(pinned.get(i, -1) for i in range(self.p))
+
+    def _statement(self, a: int, b: int, vec: tuple) -> CsiStatement:
+        """The marginal independence A _||_ B in a slice."""
+        names = self.system.variables
+        ctx = Context(tuple((names[i], x) for i, x in enumerate(vec) if x >= 0))
+        a, b = (frozenset(names[i] for i in _bits(part)) for part in (a, b))
+        return CsiStatement(a, b, (), ctx)
+
+    def pairs(self, vec: tuple) -> int:
+        """The pairs of free positions that survive the point in a slice."""
+        mask = self._pairs.get(vec)
+        if mask is None:
+            p, probs, system = self.p, self.probs, self.system
+            free = [i for i, x in enumerate(vec) if x < 0]
+            mask = 0
+            for n, i in enumerate(free):
+                for j in free[n + 1 :]:
+                    st = self._statement(1 << i, 1 << j, vec)
+                    if statement_zero_at(st, system, probs):
+                        mask |= 1 << (i * p + j) | 1 << (j * p + i)
+            self._pairs[vec] = mask
+        return mask
+
+    def slices(self, vec: tuple, s: int) -> list:
+        """The slices C, S = x_S of a context, x_S in lex order."""
+        places = list(_bits(s))
+        out = []
+        for xs in itertools.product(*(range(self.system.cards[i]) for i in places)):
+            sliced = list(vec)
+            for i, x in zip(places, xs):
+                sliced[i] = x
+            out.append(tuple(sliced))
+        return out
+
+    def candidates(self, slices: list, rest: int) -> list:
+        """Canonical (A, B) within ``rest``, the free positions outside S,
+        whose every cross pair survives in every slice, largest first."""
+        graph = -1
+        for sliced in slices:
+            graph &= self.pairs(sliced)
+        row = (1 << self.p) - 1
+        adjacency = [(graph >> (i * self.p)) & row & rest for i in range(self.p)]
+        return _bicliques(adjacency, rest)
+
+    def _independent(self, a: int, b: int, vec: tuple) -> bool:
+        """A _||_ B in one slice, every cross pair having survived there."""
+        key = (a, b, vec)
+        verdict = self._decided.get(key)
+        if verdict is None:
+            if any(_inside(a, b, a0, b0) for a0, b0 in self._confirmed.get(vec, ())):
+                verdict = True
+            else:
+                st = self._statement(a, b, vec)
+                single = (a & (a - 1)) == 0 == (b & (b - 1))
+                verdict = (
+                    single or statement_zero_at(st, self.system, self.probs)
+                ) and statement_holds(self.tree, st)
+                if verdict:
+                    self._confirmed.setdefault(vec, []).append((a, b))
+            self._decided[key] = verdict
+        return verdict
+
+    def holds(self, a: int, b: int, s: int, vec: tuple) -> bool:
+        """A _||_ B | S in the context: the AND over its slices."""
+        p = self.p
+        cross = 0
+        for i in _bits(a):
+            cross |= b << (i * p)
+        slices = self.slices(vec, s)
+        return all(not cross & ~self.pairs(v) for v in slices) and all(
+            self._independent(a, b, v) for v in slices
         )
 
-    return holds
+    def tied(self, vec: tuple) -> bool:
+        """Whether some statement valid in the context stays tied to it:
+        un-pinning any one context variable into S breaks it.
 
+        A statement absorbed by a variable has every sub-statement absorbed
+        by it, so a candidate inside one already found absorbed is skipped,
+        and the largest are tried first.
+        """
+        free = sum(1 << i for i, x in enumerate(vec) if x < 0)
+        pinned = [i for i, x in enumerate(vec) if x >= 0]
+        s = free
+        while True:
+            rest = free & ~s
+            if rest.bit_count() >= 2:
+                absorbed = []
+                slices = self.slices(vec, s)
+                for a, b in self.candidates(slices, rest):
+                    if any(
+                        _inside(a, b, a0, b0) for a0, b0 in absorbed
+                    ) or not all(self._independent(a, b, v) for v in slices):
+                        continue
+                    if not any(
+                        self.holds(a, b, s | 1 << i, vec[:i] + (-1,) + vec[i + 1 :])
+                        for i in pinned
+                    ):
+                        return True
+                    absorbed.append((a, b))
+            if not s:
+                return False
+            s = (s - 1) & free
 
-def _context_statements(system: VariableSystem, ctx: Context):
-    """Candidate statements within one context, canonical pairs only.
-
-    Unassigned free variables are marginalized out, so this ranges over
-    every (A, B, S) choice, saturated or not.
-    """
-    free = [v for v in system.variables if ctx.get(v) is None]
-    for split in itertools.product((0, 1, 2, 3), repeat=len(free)):
-        a = frozenset(v for v, t in zip(free, split) if t == 0)
-        b = frozenset(v for v, t in zip(free, split) if t == 1)
-        if not a or not b or min(a) > min(b):
-            continue
-        s = frozenset(v for v, t in zip(free, split) if t == 2)
-        yield CsiStatement(a, b, s, ctx)
+    def valid(self, statement: CsiStatement) -> bool:
+        """The oracle's verdict on a statement over variable names; an
+        unknown variable or a context value out of range raises
+        BadIndexError."""
+        vec = self.vector(statement.context)
+        a, b, s = (
+            sum(1 << self.system.position(v) for v in part)
+            for part in (statement.a, statement.b, statement.s)
+        )
+        return self.holds(a, b, s, vec)
 
 
 def minimal_contexts(tree: CStreeSpec) -> tuple:
@@ -117,7 +263,9 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     so it is enough to try each pinned variable alone: a T that absorbs
     makes each of its variables absorb.  The empty context always leads the
     list (a complete graph when no global statement holds).  Validity is
-    decided by the semantic oracle; the graphs come from ``context_dag``.
+    decided by the semantic oracle, which tries only the statements whose
+    variable pairs all survive its point screens; the graphs come from
+    ``context_dag``.
     The search runs once per compiled tree, which keeps its result, so the
     bases, ``contexts`` and the census share it.
     """
@@ -129,15 +277,11 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
 
 def _minimal_contexts(tree: CStreeSpec) -> tuple:
     """The search behind ``minimal_contexts``, uncached."""
-    holds = _oracle(tree)
+    oracle = _Oracle(tree)
     kept = [context_dag(tree, Context())]
     for ctx in all_contexts(tree.system)[1:]:
-        for st in _context_statements(tree.system, ctx):
-            if holds(st.a, st.b, st.s, ctx) and not any(
-                holds(st.a, st.b, st.s | {v}, ctx.drop((v,))) for v in ctx.keys
-            ):
-                kept.append(context_dag(tree, ctx))
-                break
+        if oracle.tied(oracle.vector(ctx)):
+            kept.append(context_dag(tree, ctx))
     return tuple(kept)
 
 
@@ -151,10 +295,10 @@ def separation_disagreements(tree: CStreeSpec, cdags) -> tuple:
     on a later outcome reweights the earlier levels), which is exactly what
     this surfaces.
     """
-    holds = _oracle(tree)
+    oracle = _Oracle(tree)
     out = []
     for cdag in cdags:
         for statement in saturated_statements(cdag.dag, cdag.context):
-            if not holds(statement.a, statement.b, statement.s, statement.context):
+            if not oracle.valid(statement):
                 out.append((cdag.context, statement))
     return tuple(out)

@@ -22,6 +22,17 @@ class Monomial:
         object.__setattr__(self, "powers", cleaned)
         if any(e < 0 for _, e in cleaned):
             raise ValueError("negative exponents are not supported")
+        object.__setattr__(self, "_hash", hash((cleaned,)))
+
+    def __hash__(self):
+        # The dataclass's hash, computed once: products look monomials up
+        # repeatedly, and hashing the powers hashes every variable.
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __post_init__: a string's hash differs between
+        # processes, so the stored one must not travel.
+        return Monomial, (self.powers,)
 
     @classmethod
     def of(cls, *variables) -> "Monomial":
@@ -31,10 +42,7 @@ class Monomial:
         return cls(tuple(counts.items()))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        counts = dict(self.powers)
-        for v, e in other.powers:
-            counts[v] = counts.get(v, 0) + e
-        return Monomial(tuple(counts.items()))
+        return _monomial(_merge(self.powers, other.powers))
 
     @property
     def degree(self) -> int:
@@ -49,6 +57,42 @@ class Monomial:
         return "*".join(
             f"{v}^{e}" if e > 1 else f"{v}" for v, e in self.powers
         )
+
+
+def _monomial(powers: tuple) -> Monomial:
+    """A Monomial from a power tuple already sorted, zero-free and
+    nonnegative, skipping ``__post_init__``."""
+    mono = object.__new__(Monomial)
+    object.__setattr__(mono, "powers", powers)
+    object.__setattr__(mono, "_hash", hash((powers,)))
+    return mono
+
+
+def _merge(p: tuple, q: tuple) -> tuple:
+    """The product of two sorted power tuples, merged in order."""
+    if not p or not q:
+        return p or q
+    if p[-1][0] < q[0][0]:
+        return p + q
+    if q[-1][0] < p[0][0]:
+        return q + p
+    out = []
+    i = j = 0
+    n, m = len(p), len(q)
+    while i < n and j < m:
+        v, e = p[i]
+        w, f = q[j]
+        if v == w:
+            out.append((v, e + f))
+            i += 1
+            j += 1
+        elif v < w:
+            out.append(p[i])
+            i += 1
+        else:
+            out.append(q[j])
+            j += 1
+    return tuple(out) + p[i:] + q[j:]
 
 
 class SparsePoly:
@@ -127,8 +171,9 @@ class SparsePoly:
             return result
         out = {}
         for m1, c1 in self.terms.items():
+            p1 = m1.powers
             for m2, c2 in other.terms.items():
-                mono = m1 * m2
+                mono = _monomial(_merge(p1, m2.powers))
                 total = out.get(mono, 0) + c1 * c2
                 if total:
                     out[mono] = total

@@ -1,8 +1,9 @@
+import itertools
 import pathlib
 
 import pytest
 
-from cstree import load_spec
+from cstree import Context, CsiStatement, VariableSystem, load_spec
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -13,6 +14,22 @@ def fixture_path(name: str) -> pathlib.Path:
 
 def load(name: str):
     return load_spec(fixture_path(name))
+
+
+def _context_statements(system: VariableSystem, ctx: Context):
+    """Candidate statements within one context, canonical pairs only.
+
+    Unassigned free variables are marginalized out, so this ranges over
+    every (A, B, S) choice, saturated or not.
+    """
+    free = [v for v in system.variables if ctx.get(v) is None]
+    for split in itertools.product((0, 1, 2, 3), repeat=len(free)):
+        a = frozenset(v for v, t in zip(free, split) if t == 0)
+        b = frozenset(v for v, t in zip(free, split) if t == 1)
+        if not a or not b or min(a) > min(b):
+            continue
+        s = frozenset(v for v, t in zip(free, split) if t == 2)
+        yield CsiStatement(a, b, s, ctx)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from cstree import (
     BoundTooLargeError,
     Context,
     CsiStatement,
+    CStreeSpec,
     EdgeLabel,
     NotSameStageError,
     SparsePoly,
@@ -28,6 +29,7 @@ from cstree import (
     is_balanced,
     level_stage_map,
     markov_basis_saturated,
+    minimal_contexts,
     outcome_probabilities,
     parse_statement,
     perfect_context_basis,
@@ -36,6 +38,7 @@ from cstree import (
     random_cstree,
     random_dag,
     random_point,
+    saturated_statements,
     stage_members,
     statement_holds,
     statement_polynomials,
@@ -47,9 +50,8 @@ from cstree import (
 from cstree import algebra
 from cstree.algebra import _minor_cells, _tables
 from cstree.cli import main
-from cstree.contexts import _context_statements
 
-from conftest import fixture_path, load
+from conftest import _context_statements, fixture_path, load
 
 
 @dataclass(frozen=True)
@@ -384,6 +386,43 @@ def test_exactness_gate_balance():
         expected = _reference_balance(tree)
         assert is_balanced(tree) == expected
         verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
+def test_packed_keys_do_not_alias_past_the_tables_width():
+    # One variable of card 3: E(0) and E(1) are the adjacent labels l0 and
+    # l1.  Two-bit exponent fields would give l0^4 the key of l1.
+    tree = CStreeSpec(VariableSystem((3,)), ((),))
+    p0, p1 = (SparsePoly.variable((x,)) for x in (0, 1))
+    assert not vanishes(tree, p0**4 - p1)
+    assert vanishes(tree, p0**4 * p1 - p1 * p0**4)
+
+
+def test_vanishing_agrees_with_the_reference_at_high_degree():
+    rng = random.Random(46)
+    verdicts = set()
+    for name in TREE_FIXTURES:
+        tree = load(name)
+        reference = _Reference(tree)
+        outcomes = list(tree.system.outcomes())
+        minors = [
+            poly
+            for cd in minimal_contexts(tree)
+            for st in saturated_statements(cd)
+            for poly in statement_polynomials(st, tree.system)
+        ]
+        for degree in (4, 5, 6):
+            x, y = (SparsePoly.variable(v) for v in rng.sample(outcomes, 2))
+            polys = [
+                x**degree - y,
+                x**degree - y**degree,
+                x ** (degree - 1) * y - y ** (degree - 1) * x,
+                rng.choice(minors) * x ** (degree - 2),
+            ]
+            for poly in polys:
+                expected = reference.vanishes(poly)
+                assert vanishes(tree, poly) == expected, (name, poly)
+                verdicts.add(expected)
     assert verdicts == {True, False}
 
 

@@ -1,5 +1,7 @@
 """Context DAG extraction, minimal contexts, and the soundness audit."""
 
+import functools
+import itertools
 import json
 import random
 
@@ -8,6 +10,7 @@ import pytest
 from cstree import (
     BadIndexError,
     Context,
+    CsiStatement,
     Dag,
     VariableSystem,
     all_contexts,
@@ -16,18 +19,21 @@ from cstree import (
     dags_from_json,
     local_markov,
     minimal_contexts,
+    outcome_probabilities,
     random_cstree,
     random_dag,
+    random_point,
     saturated_statements,
     separation_disagreements,
     statement_holds,
+    statement_zero_at,
     tree_of_dag,
 )
 from cstree import contexts as contexts_module
 from cstree.algebra import _compile
 from cstree.cli import main
 
-from conftest import fixture_path
+from conftest import _context_statements, fixture_path, load
 
 
 def _edge_map(cdags):
@@ -198,3 +204,90 @@ def test_kept_minimal_contexts_equal_a_fresh_search(cards):
         kept = minimal_contexts(tree)
         assert minimal_contexts(tree) is kept
         assert kept == contexts_module._minimal_contexts(tree)
+
+
+def _decomposition_trees():
+    trees = [
+        load(name)
+        for name in (
+            "fig1.json",
+            "fig3.json",
+            "fig4.json",
+            "fig4_textreading.json",
+            "fig5_tree.json",
+            "chain123.json",
+        )
+    ]
+    rng = random.Random(2022)
+    for cards in ((3, 2, 2), (2, 3, 3), (3, 3, 2), (2, 2, 2, 3)):
+        for _ in range(2):
+            trees.append(random_cstree(VariableSystem(cards), rng))
+    return trees
+
+
+def _nonempty_subsets(block):
+    block = sorted(block)
+    for size in range(1, len(block) + 1):
+        yield from map(frozenset, itertools.combinations(block, size))
+
+
+def test_decomposition_gate():
+    # The search decides statements on variable pairs.  That rests on three
+    # facts, checked here for every candidate statement in every context: a
+    # pair refuted at the point in some slice refutes the statement, a true
+    # statement makes every sub-pair true, and the oracle's candidates are
+    # exactly the statements whose cross pairs all survive in every slice.
+    verdicts = set()
+    for tree in _decomposition_trees():
+        system = tree.system
+        probs = outcome_probabilities(tree, random_point(tree))
+        oracle = contexts_module._Oracle(tree)
+        holds = functools.cache(lambda st: statement_holds(tree, st))
+        screens = functools.cache(
+            lambda a, b, ctx: statement_zero_at(CsiStatement({a}, {b}, (), ctx), system, probs)
+        )
+        for ctx in all_contexts(system):
+            surviving = {}
+            for st in _context_statements(system, ctx):
+                s = sorted(st.s)
+                slices = [
+                    ctx.merge(zip(s, xs))
+                    for xs in itertools.product(*(range(system.card(v)) for v in s))
+                ]
+                refuted = not all(
+                    screens(a, b, sl) for a in st.a for b in st.b for sl in slices
+                )
+                verdict = holds(st)
+                verdicts.add((refuted, verdict))
+                if refuted:
+                    assert not verdict, st
+                else:
+                    surviving.setdefault(st.s, set()).add((st.a, st.b))
+                if verdict:
+                    for a, b in itertools.product(
+                        _nonempty_subsets(st.a), _nonempty_subsets(st.b)
+                    ):
+                        assert holds(CsiStatement(a, b, st.s, ctx).canonicalize()), (st, a, b)
+            vec = oracle.vector(ctx)
+            free = [v for v in system.variables if ctx.get(v) is None]
+            for s in _nonempty_subsets(free):
+                _check_candidates(oracle, vec, s, free, surviving)
+            _check_candidates(oracle, vec, frozenset(), free, surviving)
+    # Both directions occur: refuted and false, surviving and true.
+    assert {(True, False), (False, True)} <= verdicts
+
+
+def _check_candidates(oracle, vec, s, free, surviving):
+    names = oracle.system.variables
+
+    def mask(block):
+        return sum(1 << names.index(v) for v in block)
+
+    def block(m):
+        return frozenset(v for i, v in enumerate(names) if m >> i & 1)
+
+    got = oracle.candidates(oracle.slices(vec, mask(s)), mask(set(free) - s))
+    assert {(block(a), block(b)) for a, b in got} == surviving.get(s, set()), (vec, s)
+    assert len(got) == len(set(got))
+    sizes = [a.bit_count() + b.bit_count() for a, b in got]
+    assert sizes == sorted(sizes, reverse=True)
