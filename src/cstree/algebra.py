@@ -26,8 +26,9 @@ to fit the polynomial's degree when the tables' width is too narrow.
 M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the same ring
 homomorphism applied before the product instead of after, so the verdict
 stays exact and symbolic.  ``statement_zero_at`` evaluates the minors at
-one point instead; the minimal-context search calls it on single variable
-pairs, at an integer multiple of the point.  ``SparsePoly`` and
+one point instead: the reference screen.  The minimal-context search
+screens from its own integer tables at ``_integer_probabilities``, a
+positive integer multiple of the same point.  ``SparsePoly`` and
 ``Monomial`` remain the public types; results are converted at the API
 edge.
 """
@@ -412,20 +413,53 @@ def statement_holds(tree: CStreeSpec, statement: CsiStatement) -> bool:
     )
 
 
+def _stage_draws(compiled: _Compiled, seed) -> list:
+    """Per stage in label order, (its label ids, their numerators drawn from
+    1..97): the one draw behind ``random_point``."""
+    rng = random.Random(seed)
+    labels = compiled.labels
+    out = []
+    for _, ids in itertools.groupby(
+        range(len(labels)), key=lambda i: (labels[i].level, labels[i].stage_context)
+    ):
+        ids = tuple(ids)
+        out.append((ids, [rng.randint(1, 97) for _ in ids]))
+    return out
+
+
 def random_point(tree: CStreeSpec, seed=0) -> dict:
     """A deterministic exact parameter point: per stage, numerators drawn
     from 1..97 and normalized, so every label is a positive Fraction."""
-    rng = random.Random(seed)
+    compiled = _compile(tree)
     point = {}
-    stages = itertools.groupby(
-        _compile(tree).labels, key=lambda label: (label.level, label.stage_context)
-    )
-    for _, labels in stages:
-        labels = tuple(labels)
-        nums = [rng.randint(1, 97) for _ in labels]
+    for ids, nums in _stage_draws(compiled, seed):
         total = sum(nums)
-        point.update((label, Fraction(n, total)) for label, n in zip(labels, nums))
+        point.update((compiled.labels[i], Fraction(n, total)) for i, n in zip(ids, nums))
     return point
+
+
+def _integer_probabilities(tree: CStreeSpec) -> dict:
+    """``outcome_probabilities(tree, random_point(tree))`` times one
+    positive integer, in integer arithmetic.
+
+    A label weighs its numerator times L ÷ its stage's total, where L is the
+    lcm of the stage totals of its level: the label's value times L.  An
+    outcome's path meets each level once, so every outcome is scaled by the
+    same product of the levels' L."""
+    compiled = _compile(tree)
+    draws = _stage_draws(compiled, 0)
+    lcms = {}
+    for ids, nums in draws:
+        level = compiled.labels[ids[0]].level
+        lcms[level] = math.lcm(lcms.get(level, 1), sum(nums))
+    weights = [0] * len(compiled.labels)
+    for ids, nums in draws:
+        scale = lcms[compiled.labels[ids[0]].level] // sum(nums)
+        for i, n in zip(ids, nums):
+            weights[i] = n * scale
+    return {
+        x: math.prod(weights[i] for i in ids) for x, ids in compiled.paths.items()
+    }
 
 
 def outcome_probabilities(tree: CStreeSpec, point: dict) -> dict:

@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import math
+from operator import itemgetter
 
 from .csi import CsiStatement
 from .errors import BadIndexError
 from .graphs import ContextDag, Dag, saturated_statements
 from .model import Context, CStreeSpec, VariableSystem
-from .algebra import (
-    _compile,
-    outcome_probabilities,
-    random_point,
-    statement_holds,
-    statement_zero_at,
-)
+from .algebra import _compile, _integer_probabilities, statement_holds
 
 
 def context_dag(tree: CStreeSpec, context=Context()) -> ContextDag:
@@ -51,15 +45,28 @@ def context_dag(tree: CStreeSpec, context=Context()) -> ContextDag:
     return ContextDag(ctx, Dag.of((system.variables[pos] for pos in free), edges))
 
 
+def _context_vectors(system: VariableSystem):
+    """Every context on a proper subset of the variables as per-position
+    values, -1 where free, ordered by size then lexicographically."""
+    for size in range(system.p):
+        for places in itertools.combinations(range(system.p), size):
+            for vals in itertools.product(*(range(system.cards[i]) for i in places)):
+                vec = [-1] * system.p
+                for i, x in zip(places, vals):
+                    vec[i] = x
+                yield tuple(vec)
+
+
+def _context(system: VariableSystem, vec: tuple) -> Context:
+    """The context of a per-position value vector."""
+    names = system.variables
+    return Context(tuple((names[i], x) for i, x in enumerate(vec) if x >= 0))
+
+
 def all_contexts(system: VariableSystem) -> tuple:
     """Every context on a proper subset of the variables, ordered by size
     then lexicographically."""
-    out = [Context()]
-    for size in range(1, system.p):
-        for vars_ in itertools.combinations(system.variables, size):
-            for vals in itertools.product(*(range(system.card(v)) for v in vars_)):
-                out.append(Context(tuple(zip(vars_, vals))))
-    return tuple(out)
+    return tuple(_context(system, vec) for vec in _context_vectors(system))
 
 
 def _bits(mask: int):
@@ -103,30 +110,43 @@ def _bicliques(adjacency, rest: int) -> list:
     return out
 
 
+def _rank_one(table: dict, rows: list, cols: list) -> bool:
+    """Whether every 2x2 minor of a table keyed row + col vanishes: pairs of
+    rows, then pairs of columns, each in the given order."""
+    return all(
+        table[r1 + c1] * table[r2 + c2] == table[r1 + c2] * table[r2 + c1]
+        for r1, r2 in itertools.combinations(rows, 2)
+        for c1, c2 in itertools.combinations(cols, 2)
+    )
+
+
 class _Oracle:
     """Exact validity of A _||_ B | S [C] on one tree, decided pair first.
 
     A _||_ B | S [C] has exactly the minors of the marginal independences
-    A _||_ B in the slices C, S = x_S.  In a slice, each variable pair
-    (a, b) is screened once at one exact point (``statement_zero_at`` on
-    a _||_ b).  Decomposition makes a refuted pair refute every (A, B) that
-    contains it, so only the bicliques of the surviving pairs are ever
-    decided: screened at the point, then confirmed symbolically
-    (``statement_holds``) unless a statement confirmed in the same slice
-    contains them.  Every true verdict rests on a symbolic confirmation.
+    A _||_ B in the slices C, S = x_S, and those minors are the 2x2 minors
+    of the slice's A x B table: the outcomes agreeing with the slice, summed
+    by (x_A, x_B).  At one exact point a nonzero minor refutes the
+    statement.  In a slice, every variable pair (a, b) is screened at once:
+    one pass over the slice's outcomes sums every pair's table, and a pair
+    survives when its table has rank one.  Decomposition makes a refuted
+    pair refute every (A, B) that contains it, so only the bicliques of the
+    surviving pairs are ever decided: their A x B table is screened the same
+    way, then the statement is confirmed symbolically (``statement_holds``)
+    unless a statement confirmed in the same slice contains it.  Every true
+    verdict rests on a symbolic confirmation.
 
-    The point is ``random_point``'s outcome table scaled by the lcm of its
-    denominators: the same point, each minor scaled by one positive
-    constant, in integers.  Positions stand for variables and masks for
-    sets; a context is a tuple of per-position values, -1 where free.
+    The point is ``_integer_probabilities``: ``random_point``'s outcome
+    table times one positive integer, built in integers, so each minor is
+    scaled by one positive constant and keeps its zero pattern.  Positions
+    stand for variables and masks for sets; a context is a tuple of
+    per-position values, -1 where free.
     """
 
     def __init__(self, tree: CStreeSpec):
         self.tree = tree
         self.system = system = tree.system
-        probs = outcome_probabilities(tree, random_point(tree))
-        scale = math.lcm(*(q.denominator for q in probs.values()))
-        self.probs = {x: q.numerator * (scale // q.denominator) for x, q in probs.items()}
+        self.probs = _integer_probabilities(tree)
         self.p = system.p
         self._pairs = {}  # slice -> mask of surviving pairs, bit i*p + j both ways
         self._confirmed = {}  # slice -> [(A, B)] confirmed symbolically
@@ -141,22 +161,43 @@ class _Oracle:
     def _statement(self, a: int, b: int, vec: tuple) -> CsiStatement:
         """The marginal independence A _||_ B in a slice."""
         names = self.system.variables
-        ctx = Context(tuple((names[i], x) for i, x in enumerate(vec) if x >= 0))
         a, b = (frozenset(names[i] for i in _bits(part)) for part in (a, b))
-        return CsiStatement(a, b, (), ctx)
+        return CsiStatement(a, b, (), _context(self.system, vec))
+
+    def screen(self, vec: tuple, blocks: list) -> list:
+        """Per block (A, B) of position tuples, whether its A x B table in a
+        slice has rank one at the point; every table is summed in one pass
+        over the slice's outcomes."""
+        cards, probs = self.system.cards, self.probs
+        axes = [range(d) if x < 0 else (x,) for x, d in zip(vec, cards)]
+        keys = [itemgetter(*a, *b) for a, b in blocks]
+        tables = [{} for _ in blocks]
+        for x in itertools.product(*axes):
+            w = probs[x]
+            for key, table in zip(keys, tables):
+                k = key(x)
+                table[k] = table.get(k, 0) + w
+
+        def values(part):
+            return list(itertools.product(*(range(cards[i]) for i in part)))
+
+        return [
+            _rank_one(table, values(a), values(b))
+            for table, (a, b) in zip(tables, blocks)
+        ]
 
     def pairs(self, vec: tuple) -> int:
         """The pairs of free positions that survive the point in a slice."""
         mask = self._pairs.get(vec)
         if mask is None:
-            p, probs, system = self.p, self.probs, self.system
+            p = self.p
             free = [i for i, x in enumerate(vec) if x < 0]
+            pairs = list(itertools.combinations(free, 2))
             mask = 0
-            for n, i in enumerate(free):
-                for j in free[n + 1 :]:
-                    st = self._statement(1 << i, 1 << j, vec)
-                    if statement_zero_at(st, system, probs):
-                        mask |= 1 << (i * p + j) | 1 << (j * p + i)
+            verdicts = self.screen(vec, [((i,), (j,)) for i, j in pairs])
+            for (i, j), ok in zip(pairs, verdicts):
+                if ok:
+                    mask |= 1 << (i * p + j) | 1 << (j * p + i)
             self._pairs[vec] = mask
         return mask
 
@@ -189,11 +230,10 @@ class _Oracle:
             if any(_inside(a, b, a0, b0) for a0, b0 in self._confirmed.get(vec, ())):
                 verdict = True
             else:
-                st = self._statement(a, b, vec)
                 single = (a & (a - 1)) == 0 == (b & (b - 1))
                 verdict = (
-                    single or statement_zero_at(st, self.system, self.probs)
-                ) and statement_holds(self.tree, st)
+                    single or self.screen(vec, [(tuple(_bits(a)), tuple(_bits(b)))])[0]
+                ) and statement_holds(self.tree, self._statement(a, b, vec))
                 if verdict:
                     self._confirmed.setdefault(vec, []).append((a, b))
             self._decided[key] = verdict
@@ -279,9 +319,9 @@ def _minimal_contexts(tree: CStreeSpec) -> tuple:
     """The search behind ``minimal_contexts``, uncached."""
     oracle = _Oracle(tree)
     kept = [context_dag(tree, Context())]
-    for ctx in all_contexts(tree.system)[1:]:
-        if oracle.tied(oracle.vector(ctx)):
-            kept.append(context_dag(tree, ctx))
+    for vec in itertools.islice(_context_vectors(tree.system), 1, None):
+        if oracle.tied(vec):
+            kept.append(context_dag(tree, _context(tree.system, vec)))
     return tuple(kept)
 
 

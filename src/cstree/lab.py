@@ -128,16 +128,23 @@ class EnumerationCursor:
 
 
 def enumeration_cursor(system: VariableSystem, max_trees=200_000) -> EnumerationCursor:
+    """The enumeration state of every staging of the system.
+
+    Draws each layer's partitions in turn and raises BudgetExceededError as
+    soon as the partitions drawn so far, times the earlier layers' counts,
+    exceed ``max_trees``: no layer is drawn past the budget."""
     per_level = []
     total = 1
     for pos in range(system.p):
-        parts = tuple(_level_partitions(system, pos))
-        per_level.append(parts)
+        parts = []
+        for part in _level_partitions(system, pos):
+            parts.append(part)
+            if max_trees is not None and total * len(parts) > max_trees:
+                raise BudgetExceededError(
+                    f"at least {total * len(parts)} stagings, budget is {max_trees}"
+                )
+        per_level.append(tuple(parts))
         total *= len(parts)
-        if max_trees is not None and total > max_trees:
-            raise BudgetExceededError(
-                f"at least {total} stagings, budget is {max_trees}"
-            )
     return EnumerationCursor(system, tuple(per_level))
 
 

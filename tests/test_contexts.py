@@ -291,3 +291,49 @@ def _check_candidates(oracle, vec, s, free, surviving):
     assert len(got) == len(set(got))
     sizes = [a.bit_count() + b.bit_count() for a, b in got]
     assert sizes == sorted(sizes, reverse=True)
+
+
+def test_integer_screens_match_the_reference_screen():
+    # The search screens a slice's pairs and bicliques from integer tables
+    # at a multiple of the point; statement_zero_at at the Fraction point
+    # is the reference, on every slice of every context.
+    for tree in _decomposition_trees():
+        system, names = tree.system, tree.system.variables
+        probs = outcome_probabilities(tree, random_point(tree))
+        oracle = contexts_module._Oracle(tree)
+        (ratio,) = {oracle.probs[x] / probs[x] for x in probs}
+        assert ratio > 0 and len(oracle.probs) == len(probs)
+        slices = set()
+        for ctx in all_contexts(system):
+            vec = oracle.vector(ctx)
+            free = sum(1 << i for i, x in enumerate(vec) if x < 0)
+            s = free
+            while True:
+                slices.update(oracle.slices(vec, s))
+                if not s:
+                    break
+                s = (s - 1) & free
+        for sl in sorted(slices):
+            ctx = contexts_module._context(system, sl)
+            free = [i for i, x in enumerate(sl) if x < 0]
+            blocks = []
+            for split in itertools.product((0, 1, 2), repeat=len(free)):
+                a = tuple(i for i, t in zip(free, split) if t == 0)
+                b = tuple(i for i, t in zip(free, split) if t == 1)
+                if a and b and a[0] < b[0]:
+                    blocks.append((a, b))
+            want = [
+                statement_zero_at(
+                    CsiStatement({names[i] for i in a}, {names[i] for i in b}, (), ctx),
+                    system,
+                    probs,
+                )
+                for a, b in blocks
+            ]
+            assert oracle.screen(sl, blocks) == want, sl
+            mask = 0
+            for (a, b), ok in zip(blocks, want):
+                if len(a) == len(b) == 1 and ok:
+                    (i,), (j,) = a, b
+                    mask |= 1 << (i * system.p + j) | 1 << (j * system.p + i)
+            assert oracle.pairs(sl) == mask, sl

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import cstree.lab as lab
 from cstree import (
     BudgetExceededError,
     Context,
@@ -46,6 +47,28 @@ def test_square_layer_has_eight_partitions():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         count_cstrees(VariableSystem((2, 2, 2, 2)), max_trees=100)
+    assert count_cstrees(VariableSystem((2, 2, 2, 2)), max_trees=2464) == 2464
+    with pytest.raises(BudgetExceededError, match="at least 2464 stagings, budget is 2463"):
+        count_cstrees(VariableSystem((2, 2, 2, 2)), max_trees=2463)
+
+
+def test_budget_stops_drawing_a_layer(monkeypatch):
+    # The first four binary layers give 2,464 stagings, so the default
+    # budget of 200,000 admits 81 partitions of the fifth layer; the 82nd
+    # is the last one drawn.
+    draws = {}
+    partitions = lab._level_partitions
+
+    def counted(system, pos):
+        for part in partitions(system, pos):
+            draws[pos] = draws.get(pos, 0) + 1
+            yield part
+
+    monkeypatch.setattr(lab, "_level_partitions", counted)
+    budget = 200_000
+    with pytest.raises(BudgetExceededError, match="at least 202048 stagings, budget is 200000"):
+        count_cstrees(VariableSystem((2,) * 5), max_trees=budget)
+    assert draws == {0: 1, 1: 2, 2: 8, 3: 154, 4: budget // 2464 + 1}
 
 
 def test_enumeration_is_exhaustive_and_distinct():
