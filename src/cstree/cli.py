@@ -374,7 +374,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-oracle",
         action="store_true",
-        help="replay graph separations against the semantic oracle",
+        help="ask statement_holds of every saturated statement the graphs separate",
     )
     p.set_defaults(func=_cmd_contexts)
 

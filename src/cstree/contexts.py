@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 from .csi import CsiStatement
 from .errors import BadIndexError
@@ -110,13 +109,13 @@ def _bicliques(adjacency, rest: int) -> list:
     return out
 
 
-def _rank_one(table: dict, rows: list, cols: list) -> bool:
-    """Whether every 2x2 minor of a table keyed row + col vanishes: pairs of
-    rows, then pairs of columns, each in the given order."""
+def _rank_one(table: dict, rows: int, cols: int) -> bool:
+    """Whether every 2x2 minor of a table keyed (row, col) vanishes: pairs of
+    rows, then pairs of columns, each in increasing order."""
     return all(
-        table[r1 + c1] * table[r2 + c2] == table[r1 + c2] * table[r2 + c1]
-        for r1, r2 in itertools.combinations(rows, 2)
-        for c1, c2 in itertools.combinations(cols, 2)
+        table[r1, c1] * table[r2, c2] == table[r1, c2] * table[r2, c1]
+        for r1, r2 in itertools.combinations(range(rows), 2)
+        for c1, c2 in itertools.combinations(range(cols), 2)
     )
 
 
@@ -131,10 +130,10 @@ class _Oracle:
     one pass over the slice's outcomes sums every pair's table, and a pair
     survives when its table has rank one.  Decomposition makes a refuted
     pair refute every (A, B) that contains it, so only the bicliques of the
-    surviving pairs are ever decided: their A x B table is screened the same
-    way, then the statement is confirmed symbolically (``statement_holds``)
-    unless a statement confirmed in the same slice contains it.  Every true
-    verdict rests on a symbolic confirmation.
+    surviving pairs are ever decided: a statement confirmed in the same
+    slice that contains one decides it, and otherwise it is confirmed
+    symbolically (``statement_holds``).  Every true verdict rests on a
+    symbolic confirmation.
 
     The point is ``_integer_probabilities``: ``random_point``'s outcome
     table times one positive integer, built in integers, so each minor is
@@ -152,51 +151,31 @@ class _Oracle:
         self._confirmed = {}  # slice -> [(A, B)] confirmed symbolically
         self._decided = {}  # (A, B, slice) -> verdict
 
-    def vector(self, ctx: Context) -> tuple:
-        """A context as per-position values; an unknown variable or a value
-        out of range raises BadIndexError."""
-        pinned = self.system.pinned(ctx)
-        return tuple(pinned.get(i, -1) for i in range(self.p))
-
     def _statement(self, a: int, b: int, vec: tuple) -> CsiStatement:
         """The marginal independence A _||_ B in a slice."""
         names = self.system.variables
         a, b = (frozenset(names[i] for i in _bits(part)) for part in (a, b))
         return CsiStatement(a, b, (), _context(self.system, vec))
 
-    def screen(self, vec: tuple, blocks: list) -> list:
-        """Per block (A, B) of position tuples, whether its A x B table in a
-        slice has rank one at the point; every table is summed in one pass
-        over the slice's outcomes."""
-        cards, probs = self.system.cards, self.probs
-        axes = [range(d) if x < 0 else (x,) for x, d in zip(vec, cards)]
-        keys = [itemgetter(*a, *b) for a, b in blocks]
-        tables = [{} for _ in blocks]
-        for x in itertools.product(*axes):
-            w = probs[x]
-            for key, table in zip(keys, tables):
-                k = key(x)
-                table[k] = table.get(k, 0) + w
-
-        def values(part):
-            return list(itertools.product(*(range(cards[i]) for i in part)))
-
-        return [
-            _rank_one(table, values(a), values(b))
-            for table, (a, b) in zip(tables, blocks)
-        ]
-
     def pairs(self, vec: tuple) -> int:
-        """The pairs of free positions that survive the point in a slice."""
+        """The pairs of free positions that survive the point in a slice:
+        one pass over the slice's outcomes sums every pair's 2-way table,
+        keyed (x_i, x_j)."""
         mask = self._pairs.get(vec)
         if mask is None:
-            p = self.p
+            cards, probs, p = self.system.cards, self.probs, self.p
             free = [i for i, x in enumerate(vec) if x < 0]
             pairs = list(itertools.combinations(free, 2))
+            tables = [{} for _ in pairs]
+            axes = [range(d) if x < 0 else (x,) for x, d in zip(vec, cards)]
+            for x in itertools.product(*axes):
+                w = probs[x]
+                for (i, j), table in zip(pairs, tables):
+                    k = x[i], x[j]
+                    table[k] = table.get(k, 0) + w
             mask = 0
-            verdicts = self.screen(vec, [((i,), (j,)) for i, j in pairs])
-            for (i, j), ok in zip(pairs, verdicts):
-                if ok:
+            for (i, j), table in zip(pairs, tables):
+                if _rank_one(table, cards[i], cards[j]):
                     mask |= 1 << (i * p + j) | 1 << (j * p + i)
             self._pairs[vec] = mask
         return mask
@@ -227,13 +206,11 @@ class _Oracle:
         key = (a, b, vec)
         verdict = self._decided.get(key)
         if verdict is None:
-            if any(_inside(a, b, a0, b0) for a0, b0 in self._confirmed.get(vec, ())):
-                verdict = True
-            else:
-                single = (a & (a - 1)) == 0 == (b & (b - 1))
-                verdict = (
-                    single or self.screen(vec, [(tuple(_bits(a)), tuple(_bits(b)))])[0]
-                ) and statement_holds(self.tree, self._statement(a, b, vec))
+            verdict = any(
+                _inside(a, b, a0, b0) for a0, b0 in self._confirmed.get(vec, ())
+            )
+            if not verdict:
+                verdict = statement_holds(self.tree, self._statement(a, b, vec))
                 if verdict:
                     self._confirmed.setdefault(vec, []).append((a, b))
             self._decided[key] = verdict
@@ -281,17 +258,6 @@ class _Oracle:
                 return False
             s = (s - 1) & free
 
-    def valid(self, statement: CsiStatement) -> bool:
-        """The oracle's verdict on a statement over variable names; an
-        unknown variable or a context value out of range raises
-        BadIndexError."""
-        vec = self.vector(statement.context)
-        a, b, s = (
-            sum(1 << self.system.position(v) for v in part)
-            for part in (statement.a, statement.b, statement.s)
-        )
-        return self.holds(a, b, s, vec)
-
 
 def minimal_contexts(tree: CStreeSpec) -> tuple:
     """The contexts that carry irreducible independence, with their graphs.
@@ -326,19 +292,22 @@ def _minimal_contexts(tree: CStreeSpec) -> tuple:
 
 
 def separation_disagreements(tree: CStreeSpec, cdags) -> tuple:
-    """Separation claims of context graphs that the semantic oracle refutes.
+    """Separation claims of context graphs that the model refutes.
 
-    A sound graph produces nothing: every saturated statement it separates
-    is true of the model.  The reverse direction is not audited, since the
-    staging genuinely carries more independence than any one graph shows.
-    Graphs of contexts pinning late variables can overclaim (conditioning
-    on a later outcome reweights the earlier levels), which is exactly what
-    this surfaces.
+    Each graph's saturated statements, read off its moral graph, are asked
+    of ``statement_holds`` directly: the audit shares no screen and no memo
+    with the minimal-context search it checks.  A sound graph produces
+    nothing: every saturated statement it separates is true of the model.
+    The reverse direction is not audited, since the staging genuinely
+    carries more independence than any one graph shows.  Graphs of contexts
+    pinning late variables can overclaim (conditioning on a later outcome
+    reweights the earlier levels), which is exactly what this surfaces.  A
+    claim naming a variable the tree lacks, or pinning a value out of
+    range, raises BadIndexError.
     """
-    oracle = _Oracle(tree)
-    out = []
-    for cdag in cdags:
-        for statement in saturated_statements(cdag.dag, cdag.context):
-            if not oracle.valid(statement):
-                out.append((cdag.context, statement))
-    return tuple(out)
+    return tuple(
+        (cdag.context, statement)
+        for cdag in cdags
+        for statement in saturated_statements(cdag.dag, cdag.context)
+        if not statement_holds(tree, statement)
+    )

@@ -271,21 +271,28 @@ def saturated_statements(dag, context=Context()) -> tuple:
     """All A _||_ B | S with A, B, S partitioning the vertices that hold by
     separation, canonicalized (min(A) < min(B)) and duplicate-free.
 
+    For a partition the ancestral closure is every vertex, so
+    ``d_separated``'s criterion reads: no edge of the moral graph joins A
+    and B.  The moral graph is built once and read for every split.
     Accepts a bare Dag plus an optional context, or a ContextDag carrying
     its own.
     """
     if isinstance(dag, ContextDag):
         dag, context = dag.dag, dag.context
     verts = dag.vertices
+    index = {v: n for n, v in enumerate(verts)}
+    moral = [(index[u], index[v]) for u, v in moralize(dag).edges]
     out = []
     for split in itertools.product((0, 1, 2), repeat=len(verts)):
+        # Only an A end (0) and a B end (1) sum to 1.
+        if any(split[i] + split[j] == 1 for i, j in moral):
+            continue
         a = frozenset(v for v, t in zip(verts, split) if t == 0)
         b = frozenset(v for v, t in zip(verts, split) if t == 1)
         if not a or not b or min(a) > min(b):
             continue
         s = frozenset(v for v, t in zip(verts, split) if t == 2)
-        if d_separated(dag, a, b, s):
-            out.append(CsiStatement(a, b, s, context))
+        out.append(CsiStatement(a, b, s, context))
     return tuple(out)
 
 

@@ -41,14 +41,18 @@ def _subsets(positions):
 def _cylinders(system: VariableSystem, pos: int, uncovered: frozenset):
     """The stages of layer ``pos`` around its lex-smallest uncovered vertex
     whose members are all uncovered, with those members, in (size, lex)
-    context order."""
+    context order.  A candidate's members come from per-position axes; its
+    context and stage are built only when it fits."""
     v = min(uncovered)
+    full = [range(d) for d in system.cards[:pos]]
     for fixed in _subsets(tuple(range(pos))):
-        ctx = Context(tuple((system.variables[i], v[i]) for i in fixed))
-        stage = Stage(system.variables[pos], ctx)
-        members = frozenset(stage_members(system, stage))
+        axes = list(full)
+        for i in fixed:
+            axes[i] = (v[i],)
+        members = frozenset(itertools.product(*axes))
         if members <= uncovered:
-            yield stage, members
+            ctx = Context(tuple((system.variables[i], v[i]) for i in fixed))
+            yield Stage(system.variables[pos], ctx), members
 
 
 def _level_partitions(system: VariableSystem, pos: int):
@@ -132,7 +136,10 @@ def enumeration_cursor(system: VariableSystem, max_trees=200_000) -> Enumeration
 
     Draws each layer's partitions in turn and raises BudgetExceededError as
     soon as the partitions drawn so far, times the earlier layers' counts,
-    exceed ``max_trees``: no layer is drawn past the budget."""
+    exceed ``max_trees``: no layer is drawn past the budget.  A negative
+    budget raises PreconditionError before any layer is drawn."""
+    if max_trees is not None and max_trees < 0:
+        raise PreconditionError(f"budget must be non-negative, got {max_trees}")
     per_level = []
     total = 1
     for pos in range(system.p):

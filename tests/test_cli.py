@@ -138,6 +138,7 @@ def test_malformed_fixture_shapes_are_typed_errors(capsys, tmp_path, fixture, ex
         (["moralize"], {"vertices": [1, 2], "edges": [[1]]}, "BadGraph"),
         (["moralize"], {"vertices": [1, 2], "context": {"3": "x"}}, "BadIndex"),
         (["enumerate", "--cards", "2,x"], None, "BadCardinality"),
+        (["enumerate", "--cards", "2,2", "--budget", "-1"], None, "Precondition"),
         (["subtree", FIG1, "--context", "a=1"], None, "BadIndex"),
         (["subtree", FIG1, "--context", "2=0,2=1"], None, "BadIndex"),
     ],
@@ -152,6 +153,7 @@ def test_malformed_fixture_shapes_are_typed_errors(capsys, tmp_path, fixture, ex
         "edge-single",
         "dag-context-value-string",
         "cards-letter",
+        "budget-negative",
         "context-variable-letter",
         "context-variable-repeated",
     ],

@@ -10,6 +10,7 @@ from cstree import (
     BadGraphError,
     Context,
     ContextDag,
+    CsiStatement,
     Dag,
     PreconditionError,
     UndirectedGraph,
@@ -172,6 +173,28 @@ def test_saturated_statements_carry_context():
     # a ContextDag brings its own context along
     (same,) = saturated_statements(ContextDag(Context.of({1: 0}), dag))
     assert same == st
+
+
+def _separation_filter(dag, context):
+    """The reference route: ``d_separated`` on every canonical split."""
+    verts = dag.vertices
+    out = []
+    for split in itertools.product((0, 1, 2), repeat=len(verts)):
+        a, b, s = (frozenset(v for v, t in zip(verts, split) if t == k) for k in range(3))
+        if a and b and min(a) < min(b) and d_separated(dag, a, b, s):
+            out.append(CsiStatement(a, b, s, context))
+    return tuple(out)
+
+
+def test_saturated_statements_match_the_separation_filter():
+    # Reading the moral graph once gives, in order, what d_separated gives
+    # split by split.
+    rng = random.Random(41)
+    for _ in range(100):
+        names = sorted(rng.sample(range(1, 12), rng.randint(1, 7)))
+        dag = random_dag(names, rng, edge_prob=rng.choice((0.2, 0.5, 0.8)))
+        context = rng.choice((Context(), Context.of({20: rng.randint(0, 2)})))
+        assert saturated_statements(dag, context) == _separation_filter(dag, context)
 
 
 def test_saturated_statements_shrink_under_moralization():

@@ -71,6 +71,14 @@ def test_budget_stops_drawing_a_layer(monkeypatch):
     assert draws == {0: 1, 1: 2, 2: 8, 3: 154, 4: budget // 2464 + 1}
 
 
+def test_negative_budget_is_refused_before_any_layer(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(lab, "_level_partitions", lambda system, pos: drawn.append(pos) or ())
+    with pytest.raises(PreconditionError, match="budget must be non-negative, got -1"):
+        count_cstrees(VariableSystem((2, 2)), max_trees=-1)
+    assert drawn == []
+
+
 def test_enumeration_is_exhaustive_and_distinct():
     system = VariableSystem((2, 2, 2))
     seen = {json.dumps(spec_to_json(t), sort_keys=True) for t in enumerate_cstrees(system)}

@@ -1,4 +1,5 @@
-"""Property tests: JSON round trips, canonical forms, and CLI error envelopes.
+"""Property tests: JSON round trips, canonical forms, context graphs, and CLI
+error envelopes.
 
 Examples are derandomized, so every run draws the same ones.
 """
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from cstree import (
     Context,
     VariableSystem,
+    all_contexts,
+    context_dag,
     context_subtree,
     random_cstree,
     spec_from_json,
@@ -55,6 +58,15 @@ def test_validate_is_idempotent(tree):
 @given(trees())
 def test_empty_context_subtree_is_the_tree(tree):
     assert context_subtree(tree, Context()) == tree
+
+
+@PROPERTY
+@given(trees())
+def test_context_dag_is_the_empty_context_graph_of_its_subtree(tree):
+    for ctx in all_contexts(tree.system)[1:]:
+        got = context_dag(tree, ctx)
+        assert got.context == ctx
+        assert got.dag == context_dag(context_subtree(tree, ctx)).dag, ctx
 
 
 FIXTURE_BYTES = [path.read_bytes() for path in sorted(FIXTURES.glob("*.json"))]
