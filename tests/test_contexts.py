@@ -16,6 +16,7 @@ from cstree import (
     VariableSystem,
     all_contexts,
     context_dag,
+    context_subtree,
     dags_from_json,
     local_markov,
     minimal_contexts,
@@ -147,6 +148,21 @@ def test_context_dag_shape_on_random_trees():
         cdag = context_dag(tree)
         assert cdag.context == Context()
         assert cdag.dag.vertices == (1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "cards", [(2, 2, 2), (3, 2, 2), (2, 3, 3), (2, 2, 2, 2), (2, 3, 2, 2)]
+)
+def test_context_dag_agrees_with_the_context_subtree(cards):
+    # The graph of a context is the empty-context graph of its subtree.
+    rng = random.Random(23)
+    system = VariableSystem(cards)
+    for _ in range(6):
+        tree = random_cstree(system, rng)
+        for ctx in all_contexts(system)[1:]:
+            got = context_dag(tree, ctx)
+            assert got.context == ctx
+            assert got.dag == context_dag(context_subtree(tree, ctx)).dag, ctx
 
 
 @pytest.mark.parametrize(
