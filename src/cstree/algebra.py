@@ -31,6 +31,13 @@ screens from its own integer tables at ``_integer_probabilities``, a
 positive integer multiple of the same point.  ``SparsePoly`` and
 ``Monomial`` remain the public types; results are converted at the API
 edge.
+
+The fiber sweep (``fibers_connected``) packs too: a table over the outcomes
+and its marginal over the labels are each one int, with one
+``bound.bit_length()``-bit field per outcome or label and the first most
+significant, so int order is tuple-lex order.  All tables of a total and
+their marginals come from ``combinations_with_replacement`` sums in C, a
+move joins two tables one addition apart, and only a witness is unpacked.
 """
 
 from __future__ import annotations
@@ -541,18 +548,29 @@ class FiberReport:
         return f"disconnected fiber: {t1} and {t2} share marginal {marg}"
 
 
-def _tables(total: int, length: int):
-    """Nonnegative integer vectors of the given length and total, in lex
-    order.  A vector counts a multiset of positions, and of two vectors the
-    lex-smaller one has the lex-larger sorted positions, so the multisets
-    run backwards."""
-    for units in reversed(
-        list(itertools.combinations_with_replacement(range(length), total))
-    ):
-        table = [0] * length
-        for k in units:
-            table[k] += 1
-        yield tuple(table)
+def _fields(width: int, count: int) -> list:
+    """The unit of each of ``count`` packed fields ``width`` bits wide,
+    field 0 most significant, so packed order is tuple-lex order."""
+    return [1 << width * (count - 1 - i) for i in range(count)]
+
+
+def _unpack(key: int, width: int, count: int) -> tuple:
+    """The ``count`` fields of a packed key, field 0 first."""
+    mask = (1 << width) - 1
+    return tuple(key >> width * (count - 1 - i) & mask for i in range(count))
+
+
+def _tables(total: int, units, columns):
+    """(marginal, table) for every table of the given total, packed.  A
+    table is a multiset of ``total`` outcomes; it sums their ``units`` as
+    the table and their ``columns`` as its marginal, both in C.  The
+    multisets come in ``combinations_with_replacement`` order, so with
+    outcome 0 in the most significant field the tables run in descending
+    lex order."""
+    return zip(
+        map(sum, itertools.combinations_with_replacement(columns, total)),
+        map(sum, itertools.combinations_with_replacement(units, total)),
+    )
 
 
 _TABLE_BUDGET = 2_000_000
@@ -573,32 +591,49 @@ def _check_fiber_bound(matrix: ExponentMatrix, bound: int, table_budget=_TABLE_B
 
 
 def _fiber_groups(matrix: ExponentMatrix, bound: int) -> tuple:
-    """(table count, fiber count, the fibers of two or more tables) at a
-    checked bound.  Each such fiber is (marginal, tables, table -> position,
-    the positions each table is nonzero at), tables in lex order, fibers in
-    marginal order.  The grouping depends on the matrix and the bound alone,
-    so it is kept on the matrix per bound and every move set checked against
-    it shares one enumeration."""
+    """(table count, fiber count, the tables of each total, the fibers of
+    two or more tables, table -> id, id -> fiber) at a checked bound.
+
+    Tables and marginals are packed with one ``bound.bit_length()``-bit
+    field per outcome or label, which no count up to the bound overflows,
+    so int order is tuple-lex order.  A shared fiber is (marginal, its first
+    table's id, its tables), tables in lex order, fibers in marginal order;
+    ids number the shared fibers' tables in that order, and id -> fiber
+    gives each id its fiber's place.  The grouping depends on the matrix
+    and the bound alone, so it is kept on the matrix per bound and every
+    move set checked against it shares one enumeration."""
     groups = matrix._fibers.get(bound)
     if groups is None:
-        n = len(matrix.outcomes)
+        width = bound.bit_length()
+        units = _fields(width, len(matrix.outcomes))
+        rows = _fields(width, len(matrix.labels))
+        columns = [sum(rows[r] for r in col) for col in matrix.columns]
         fibers = {}
-        total_tables = 0
+        by_total = []
         for total in range(bound + 1):
-            for table in _tables(total, n):
-                total_tables += 1
-                fibers.setdefault(matrix.marginal(table), []).append(table)
-        shared = tuple(
-            (
-                marginal,
-                tables,
-                {t: i for i, t in enumerate(tables)},
-                tuple(tuple(k for k, c in enumerate(t) if c) for t in tables),
-            )
-            for marginal, tables in sorted(fibers.items())
-            if len(tables) > 1
+            tables = []
+            for marginal, table in _tables(total, units, columns):
+                fibers.setdefault(marginal, []).append(table)
+                tables.append(table)
+            by_total.append(tables)
+        shared = []
+        ids = {}
+        fiber_of = []
+        for marginal, tables in sorted(
+            item for item in fibers.items() if len(item[1]) > 1
+        ):
+            tables.sort()
+            shared.append((marginal, len(ids), tables))
+            ids.update(zip(tables, range(len(ids), len(ids) + len(tables))))
+            fiber_of.extend([len(shared)] * len(tables))
+        groups = matrix._fibers[bound] = (
+            sum(map(len, by_total)),
+            len(fibers),
+            by_total,
+            tuple(shared),
+            ids,
+            fiber_of,
         )
-        groups = matrix._fibers[bound] = (total_tables, len(fibers), shared)
     return groups
 
 
@@ -613,62 +648,65 @@ def fibers_connected(
     the table nonnegative.  A disconnected fiber is reported through two
     tables from different components.  A negative bound raises
     PreconditionError, one past ``table_budget`` BoundTooLargeError.
-    The tables are enumerated once per matrix and bound, whatever the moves.
+
+    The tables are enumerated once per matrix and bound, whatever the
+    moves, and stay packed (see ``_fiber_groups``); only the witness is
+    unpacked.  A move, its two sides' common outcomes cancelled, takes one
+    multiset and gives another, the larger of size s.  Within the bound it
+    applies exactly to the tables r + take with r any table of total at
+    most ``bound`` - s, so it joins r + take and r + give, each one
+    addition, when the two share a fiber.
     """
     _check_fiber_bound(matrix, bound, table_budget)
-    n = len(matrix.outcomes)
-    position = {x: i for i, x in enumerate(matrix.outcomes)}
-    vectors = set()
+    units = _fields(bound.bit_length(), len(matrix.outcomes))
+    unit = dict(zip(matrix.outcomes, units))
+    total_tables, fiber_count, by_total, fibers, ids, fiber_of = _fiber_groups(
+        matrix, bound
+    )
+    # Each move once for both directions: (size, take, give), take < give.
+    packed = set()
     for move in moves:
-        vec = [0] * n
+        vec = {}
         for pair, sign in ((move.plus, 1), (move.minus, -1)):
             for x in pair:
-                vec[position[x]] += sign
-        if any(vec):
-            vec = tuple(vec)
-            vectors.add(vec)
-            vectors.add(tuple(-d for d in vec))
-    # Each move as (what it takes, nonzero entries), filed under the first
-    # entry it takes: a move applies to a table only if that entry is in the
-    # table's support, and is skipped at the first entry it would take below
-    # zero.  A move that takes nothing raises the total, so it leaves every
-    # fiber.
-    by_first = {}
-    for vec in vectors:
-        entries = tuple((i, d) for i, d in enumerate(vec) if d)
-        takes = tuple((i, -d) for i, d in entries if d < 0)
-        if takes:
-            by_first.setdefault(takes[0][0], []).append((takes, entries))
-    total_tables, fiber_count, groups = _fiber_groups(matrix, bound)
-    for marginal, tables, index, supports in groups:
-        parent = list(range(len(tables)))
+                vec[x] = vec.get(x, 0) + sign
+        size = max(
+            sum(d for d in vec.values() if d > 0),
+            sum(-d for d in vec.values() if d < 0),
+        )
+        # A move larger than the bound fits no table, nor its fields.
+        if 0 < size <= bound:
+            give = sum(unit[x] * d for x, d in vec.items() if d > 0)
+            take = sum(unit[x] * -d for x, d in vec.items() if d < 0)
+            packed.add((size, min(take, give), max(take, give)))
+    parent = list(range(len(ids)))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-        for i, (t, support) in enumerate(zip(tables, supports)):
-            i = find(i)
-            for first in support:
-                for takes, entries in by_first.get(first, ()):
-                    for k, need in takes:
-                        if t[k] < need:
-                            break
-                    else:
-                        moved = list(t)
-                        for k, d in entries:
-                            moved[k] += d
-                        j = index.get(tuple(moved))
-                        if j is not None:
-                            parent[find(j)] = i
+    get = ids.get
+    for size, take, give in packed:
+        for total in range(bound - size + 1):
+            for r in by_total[total]:
+                i = get(r + take)
+                if i is not None:
+                    j = get(r + give)
+                    if j is not None and fiber_of[i] == fiber_of[j]:
+                        parent[find(i)] = find(j)
+    for marginal, first, tables in fibers:
         roots = {}
-        for t in tables:
-            roots.setdefault(find(index[t]), t)
+        for i, t in enumerate(tables, first):
+            roots.setdefault(find(i), t)
         if len(roots) > 1:
-            first, second = list(roots.values())[:2]
-            return FiberReport(
-                False, bound, total_tables, fiber_count, (marginal, first, second)
+            width, n = bound.bit_length(), len(matrix.outcomes)
+            t1, t2 = list(roots.values())[:2]
+            witness = (
+                _unpack(marginal, width, len(matrix.labels)),
+                _unpack(t1, width, n),
+                _unpack(t2, width, n),
             )
+            return FiberReport(False, bound, total_tables, fiber_count, witness)
     return FiberReport(True, bound, total_tables, fiber_count, None)

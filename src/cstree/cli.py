@@ -219,6 +219,8 @@ def _cmd_verify(args) -> int:
             raise PreconditionError(
                 f"CSTREE_MAX_FIBER must be an integer, got {cap!r}"
             ) from None
+        if cap < 0:
+            raise PreconditionError(f"CSTREE_MAX_FIBER must be non-negative, got {cap}")
     capped = cap is not None and bound > cap
     if capped:
         bound = cap
@@ -226,8 +228,10 @@ def _cmd_verify(args) -> int:
     _check_fiber_bound(matrix, bound)
     rng = random.Random(args.seed)
     run_random = args.random or not args.symbolic
-    # The bases largely coincide, so each distinct binomial is proved once.
+    # The bases largely coincide, so each distinct binomial is proved once
+    # and each distinct move set swept once.
     vanishing = {}
+    sweeps = {}
     results = {}
     all_ok = True
     for name in names:
@@ -262,7 +266,10 @@ def _cmd_verify(args) -> int:
                     break
             entry["symbolic_vanishing"] = ok
             all_ok = all_ok and ok
-        fiber = fibers_connected(matrix, basis, bound=bound)
+        moves = frozenset(binomial.key() for binomial in basis)
+        if moves not in sweeps:
+            sweeps[moves] = fibers_connected(matrix, basis, bound=bound)
+        fiber = sweeps[moves]
         entry["fibers"] = {
             "connected": fiber.connected,
             "bound": fiber.bound,

@@ -273,24 +273,47 @@ def saturated_statements(dag, context=Context()) -> tuple:
 
     For a partition the ancestral closure is every vertex, so
     ``d_separated``'s criterion reads: no edge of the moral graph joins A
-    and B.  The moral graph is built once and read for every split.
-    Accepts a bare Dag plus an optional context, or a ContextDag carrying
-    its own.
+    and B, that is A and B are unions of the components of the moral graph
+    minus S.  So each S deals its components between A and B, the one
+    holding the least vertex outside S going to A, and the splits come out
+    in ``itertools.product`` order over (A, B, S) per vertex.  Accepts a
+    bare Dag plus an optional context, or a ContextDag carrying its own.
     """
     if isinstance(dag, ContextDag):
         dag, context = dag.dag, dag.context
     verts = dag.vertices
     index = {v: n for n, v in enumerate(verts)}
-    moral = [(index[u], index[v]) for u, v in moralize(dag).edges]
-    out = []
-    for split in itertools.product((0, 1, 2), repeat=len(verts)):
-        # Only an A end (0) and a B end (1) sum to 1.
-        if any(split[i] + split[j] == 1 for i, j in moral):
+    adjacent = [[] for _ in verts]
+    for u, v in moralize(dag).edges:
+        adjacent[index[u]].append(index[v])
+        adjacent[index[v]].append(index[u])
+    splits = []
+    for in_s in itertools.product((False, True), repeat=len(verts)):
+        component = [None] * len(verts)
+        count = 0
+        for k in range(len(verts)):
+            if in_s[k] or component[k] is not None:
+                continue
+            component[k] = count
+            members = [k]
+            for u in members:
+                for w in adjacent[u]:
+                    if not in_s[w] and component[w] is None:
+                        component[w] = count
+                        members.append(w)
+            count += 1
+        if count < 2:
             continue
+        for deal in itertools.product((0, 1), repeat=count - 1):
+            if 1 in deal:
+                sides = (0, *deal)
+                splits.append(
+                    tuple(2 if c is None else sides[c] for c in component)
+                )
+    out = []
+    for split in sorted(splits):
         a = frozenset(v for v, t in zip(verts, split) if t == 0)
         b = frozenset(v for v, t in zip(verts, split) if t == 1)
-        if not a or not b or min(a) > min(b):
-            continue
         s = frozenset(v for v, t in zip(verts, split) if t == 2)
         out.append(CsiStatement(a, b, s, context))
     return tuple(out)

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from cstree import Context, CsiStatement, VariableSystem, load_spec
+from cstree.algebra import FiberReport, _check_fiber_bound
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,6 +32,116 @@ def _context_statements(system: VariableSystem, ctx: Context):
         s = frozenset(v for v, t in zip(free, split) if t == 2)
         yield CsiStatement(a, b, s, ctx)
 
+
+
+# The tuple fiber sweep that the packed one replaced, kept as the reference
+# the fiber exactness gates compare against.  Its grouping is kept per bound
+# in a dict the caller passes instead of on the matrix, whose per-bound slot
+# the packed grouping now fills.
+def _reference_tables(total: int, length: int):
+    """Nonnegative integer vectors of the given length and total, in lex
+    order.  A vector counts a multiset of positions, and of two vectors the
+    lex-smaller one has the lex-larger sorted positions, so the multisets
+    run backwards."""
+    for units in reversed(
+        list(itertools.combinations_with_replacement(range(length), total))
+    ):
+        table = [0] * length
+        for k in units:
+            table[k] += 1
+        yield tuple(table)
+
+
+def _reference_fiber_groups(matrix, bound: int, cache: dict) -> tuple:
+    """(table count, fiber count, the fibers of two or more tables) at a
+    checked bound.  Each such fiber is (marginal, tables, table -> position,
+    the positions each table is nonzero at), tables in lex order, fibers in
+    marginal order."""
+    if bound in cache:
+        return cache[bound]
+    n = len(matrix.outcomes)
+    fibers = {}
+    total_tables = 0
+    for total in range(bound + 1):
+        for table in _reference_tables(total, n):
+            total_tables += 1
+            fibers.setdefault(matrix.marginal(table), []).append(table)
+    shared = tuple(
+        (
+            marginal,
+            tables,
+            {t: i for i, t in enumerate(tables)},
+            tuple(tuple(k for k, c in enumerate(t) if c) for t in tables),
+        )
+        for marginal, tables in sorted(fibers.items())
+        if len(tables) > 1
+    )
+    cache[bound] = (total_tables, len(fibers), shared)
+    return cache[bound]
+
+
+def _reference_fibers_connected(matrix, moves, bound=2, cache=None) -> FiberReport:
+    """Check that a move set connects every fiber of small tables, on
+    tuples.  ``cache`` keeps the grouping per bound for one matrix."""
+    _check_fiber_bound(matrix, bound)
+    n = len(matrix.outcomes)
+    position = {x: i for i, x in enumerate(matrix.outcomes)}
+    vectors = set()
+    for move in moves:
+        vec = [0] * n
+        for pair, sign in ((move.plus, 1), (move.minus, -1)):
+            for x in pair:
+                vec[position[x]] += sign
+        if any(vec):
+            vec = tuple(vec)
+            vectors.add(vec)
+            vectors.add(tuple(-d for d in vec))
+    # Each move as (what it takes, nonzero entries), filed under the first
+    # entry it takes: a move applies to a table only if that entry is in the
+    # table's support, and is skipped at the first entry it would take below
+    # zero.  A move that takes nothing raises the total, so it leaves every
+    # fiber.
+    by_first = {}
+    for vec in vectors:
+        entries = tuple((i, d) for i, d in enumerate(vec) if d)
+        takes = tuple((i, -d) for i, d in entries if d < 0)
+        if takes:
+            by_first.setdefault(takes[0][0], []).append((takes, entries))
+    total_tables, fiber_count, groups = _reference_fiber_groups(
+        matrix, bound, {} if cache is None else cache
+    )
+    for marginal, tables, index, supports in groups:
+        parent = list(range(len(tables)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, (t, support) in enumerate(zip(tables, supports)):
+            i = find(i)
+            for first in support:
+                for takes, entries in by_first.get(first, ()):
+                    for k, need in takes:
+                        if t[k] < need:
+                            break
+                    else:
+                        moved = list(t)
+                        for k, d in entries:
+                            moved[k] += d
+                        j = index.get(tuple(moved))
+                        if j is not None:
+                            parent[find(j)] = i
+        roots = {}
+        for t in tables:
+            roots.setdefault(find(index[t]), t)
+        if len(roots) > 1:
+            first, second = list(roots.values())[:2]
+            return FiberReport(
+                False, bound, total_tables, fiber_count, (marginal, first, second)
+            )
+    return FiberReport(True, bound, total_tables, fiber_count, None)
 
 @pytest.fixture
 def fig1():

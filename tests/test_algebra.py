@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from cstree import (
     CsiStatement,
     CStreeSpec,
     EdgeLabel,
+    ExponentMatrix,
     NotSameStageError,
     SparsePoly,
     VariableSystem,
@@ -48,10 +50,17 @@ from cstree import (
     vanishes,
 )
 from cstree import algebra
-from cstree.algebra import _minor_cells, _tables
+from cstree import cli
+from cstree.algebra import _fields, _minor_cells, _tables, _unpack
 from cstree.cli import main
+from cstree.errors import UnbalancedError
 
-from conftest import _context_statements, fixture_path, load
+from conftest import (
+    _context_statements,
+    _reference_fibers_connected,
+    fixture_path,
+    load,
+)
 
 
 @dataclass(frozen=True)
@@ -221,11 +230,13 @@ def _recursive_tables(total, length):
 
 
 def test_tables_keep_the_recursive_order():
+    # Packed with outcome 0 most significant, the tables run in descending
+    # lex order; decoded, they are the recursive order reversed.
     for length in range(1, 8):
+        units = _fields(3, length)
         for total in range(5):
-            assert list(_tables(total, length)) == list(
-                _recursive_tables(total, length)
-            )
+            tables = [_unpack(t, 3, length) for _, t in _tables(total, units, units)]
+            assert tables == list(_recursive_tables(total, length))[::-1]
 
 
 def test_fibers_at_bound_zero_on_a_large_tree():
@@ -451,9 +462,9 @@ def test_a_reused_matrix_reports_as_a_fresh_one(name):
 def test_verify_enumerates_the_tables_once_per_bound(capsys, monkeypatch):
     totals = []
 
-    def counted(total, length):
+    def counted(total, units, columns):
         totals.append(total)
-        return _tables(total, length)
+        return _tables(total, units, columns)
 
     monkeypatch.setattr(algebra, "_tables", counted)
     fixture = str(fixture_path("fig5_tree.json"))
@@ -463,3 +474,90 @@ def test_verify_enumerates_the_tables_once_per_bound(capsys, monkeypatch):
     tables = [entry["fibers"]["tables"] for entry in report["methods"].values()]
     assert tables == [6545] * 3
     assert totals == [0, 1, 2, 3]
+
+
+def test_verify_sweeps_each_distinct_move_set_once(capsys, monkeypatch):
+    # fig5_tree's three bases are one set of moves, so one union-find serves
+    # all three reports.
+    calls = []
+
+    def counted(matrix, moves, bound):
+        calls.append(bound)
+        return fibers_connected(matrix, moves, bound=bound)
+
+    monkeypatch.setattr(cli, "fibers_connected", counted)
+    fixture = str(fixture_path("fig5_tree.json"))
+    argv = ["verify", "--method", "all", "--fiber-bound", "3", fixture]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls == [3]
+    fibers = [entry["fibers"] for entry in report["methods"].values()]
+    assert fibers == [fibers[0]] * 3 and fibers[0]["connected"]
+
+
+def _move_sets(tree):
+    """Each route's basis, its first half, every third move, a single move
+    and none, each distinct list once; a route that refuses the tree is
+    left out."""
+    out = {(): []}
+    for route in (markov_basis_saturated, quad_lift_basis, perfect_context_basis):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                basis = list(route(tree))
+        except UnbalancedError:
+            continue
+        for moves in (basis, basis[: len(basis) // 2], basis[::3], basis[:1]):
+            out.setdefault(tuple(b.key() for b in moves), moves)
+    return list(out.values())
+
+
+# Exactness gate: the packed fiber sweep against the tuple sweep it replaced
+# (tests/conftest.py), witnesses included.  Beyond the trees' bases,
+# products of two basis moves take up to four outcomes, and a hand-built 0/1
+# matrix with repeated columns and columns of unequal sums gives moves of
+# one outcome, and moves whose sides differ in size, fibers to join; on a
+# tree's matrix no two columns are equal, so a move of one outcome never
+# stays in a fiber.
+def test_packed_fibers_match_the_tuple_reference(chain):
+    trees = [load(name) for name in TREE_FIXTURES]
+    rng = random.Random(71)
+    for p in (2, 2, 3, 3, 3, 4, 4, 4, 4, 4):
+        trees.append(random_cstree(VariableSystem((2,) * p), rng))
+    cases = [(exponent_matrix(tree), _move_sets(tree), 4) for tree in trees]
+    basis = markov_basis_saturated(chain)
+    products = [
+        _Move(f.plus + g.plus, f.minus + g.minus)
+        for f, g in itertools.combinations_with_replacement(basis, 2)
+    ]
+    cases.append((exponent_matrix(chain), [products, products[:1]], 5))
+    a, b, c, d, e = ((i,) for i in range(5))
+    hand = ExponentMatrix(
+        ("r0", "r1"), (a, b, c, d, e), ((0,), (0,), (1,), (0, 1), (1,))
+    )
+    odd = [_Move((a, c), (b, c)), _Move((c, e), (e, e)), _Move((d,), (a, c))]
+    cases.append((hand, [odd, odd[:2], odd[1:], odd[::2], []], 5))
+    verdicts = set()
+    for matrix, move_sets, bounds in cases:
+        cache = {}
+        for bound in range(bounds):
+            for moves in move_sets:
+                expected = _reference_fibers_connected(matrix, moves, bound, cache)
+                assert fibers_connected(matrix, moves, bound=bound) == expected
+                verdicts.add(expected.connected)
+    assert verdicts == {True, False}
+
+
+def test_packed_fibers_hold_counts_past_a_narrow_field(chain):
+    # Bounds 8-12 pack four-bit fields, which two-bit fields would overflow;
+    # the one-variable system packs 60 into six bits.
+    matrix = exponent_matrix(chain)
+    cache = {}
+    for bound in range(8, 13):
+        for moves in (markov_basis_saturated(chain), []):
+            expected = _reference_fibers_connected(matrix, moves, bound, cache)
+            assert fibers_connected(matrix, moves, bound=bound) == expected
+    single = exponent_matrix(CStreeSpec(VariableSystem((2,)), ((),)))
+    expected = _reference_fibers_connected(single, [], 60)
+    assert fibers_connected(single, [], bound=60) == expected
+    assert (expected.tables, expected.fibers) == (1891, 1891)

@@ -364,6 +364,15 @@ def test_verify_checks_the_bound_before_any_basis(capsys, monkeypatch, argv, cap
     assert json.loads(err)["error"]["type"] == kind
 
 
+
+def test_a_negative_cap_is_named_in_its_error(capsys, monkeypatch):
+    monkeypatch.setenv("CSTREE_MAX_FIBER", "-1")
+    code, out, err = _run(capsys, "verify", CHAIN, "--fiber-bound", "3")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "Precondition"
+    assert error["message"] == "CSTREE_MAX_FIBER must be non-negative, got -1"
+
 # sha256 of verify's stdout with the version replaced by VERSION, run from
 # the repository root on fixtures/<name>.json, recorded when random
 # vanishing still went through SparsePoly; one stdout for every seed.
