@@ -114,7 +114,6 @@ from .bases import (
     perfect_context_basis,
     quad_lift_basis,
     statement_binomials,
-    truncate,
 )
 from .lab import (
     Classification,

@@ -35,9 +35,10 @@ edge.
 The fiber sweep (``fibers_connected``) packs too: a table over the outcomes
 and its marginal over the labels are each one int, with one
 ``bound.bit_length()``-bit field per outcome or label and the first most
-significant, so int order is tuple-lex order.  All tables of a total and
-their marginals come from ``combinations_with_replacement`` sums in C, a
-move joins two tables one addition apart, and only a witness is unpacked.
+significant, so int order is tuple-lex order.  Each call enumerates its
+tables, and their marginals, from ``combinations_with_replacement`` sums in
+C; a move whose two sides' packed marginals are equal joins two tables one
+addition apart, and only a witness is unpacked.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -508,8 +509,6 @@ class ExponentMatrix:
     labels: tuple
     outcomes: tuple
     columns: tuple
-    # bound -> _fiber_groups' result, freed with the matrix.
-    _fibers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def marginal(self, table) -> tuple:
         """Row sums A u for a table aligned with ``outcomes``."""
@@ -590,53 +589,6 @@ def _check_fiber_bound(matrix: ExponentMatrix, bound: int, table_budget=_TABLE_B
         )
 
 
-def _fiber_groups(matrix: ExponentMatrix, bound: int) -> tuple:
-    """(table count, fiber count, the tables of each total, the fibers of
-    two or more tables, table -> id, id -> fiber) at a checked bound.
-
-    Tables and marginals are packed with one ``bound.bit_length()``-bit
-    field per outcome or label, which no count up to the bound overflows,
-    so int order is tuple-lex order.  A shared fiber is (marginal, its first
-    table's id, its tables), tables in lex order, fibers in marginal order;
-    ids number the shared fibers' tables in that order, and id -> fiber
-    gives each id its fiber's place.  The grouping depends on the matrix
-    and the bound alone, so it is kept on the matrix per bound and every
-    move set checked against it shares one enumeration."""
-    groups = matrix._fibers.get(bound)
-    if groups is None:
-        width = bound.bit_length()
-        units = _fields(width, len(matrix.outcomes))
-        rows = _fields(width, len(matrix.labels))
-        columns = [sum(rows[r] for r in col) for col in matrix.columns]
-        fibers = {}
-        by_total = []
-        for total in range(bound + 1):
-            tables = []
-            for marginal, table in _tables(total, units, columns):
-                fibers.setdefault(marginal, []).append(table)
-                tables.append(table)
-            by_total.append(tables)
-        shared = []
-        ids = {}
-        fiber_of = []
-        for marginal, tables in sorted(
-            item for item in fibers.items() if len(item[1]) > 1
-        ):
-            tables.sort()
-            shared.append((marginal, len(ids), tables))
-            ids.update(zip(tables, range(len(ids), len(ids) + len(tables))))
-            fiber_of.extend([len(shared)] * len(tables))
-        groups = matrix._fibers[bound] = (
-            sum(map(len, by_total)),
-            len(fibers),
-            by_total,
-            tuple(shared),
-            ids,
-            fiber_of,
-        )
-    return groups
-
-
 def fibers_connected(
     matrix: ExponentMatrix, moves, bound=2, table_budget=_TABLE_BUDGET
 ) -> FiberReport:
@@ -649,22 +601,41 @@ def fibers_connected(
     tables from different components.  A negative bound raises
     PreconditionError, one past ``table_budget`` BoundTooLargeError.
 
-    The tables are enumerated once per matrix and bound, whatever the
-    moves, and stay packed (see ``_fiber_groups``); only the witness is
-    unpacked.  A move, its two sides' common outcomes cancelled, takes one
-    multiset and gives another, the larger of size s.  Within the bound it
-    applies exactly to the tables r + take with r any table of total at
-    most ``bound`` - s, so it joins r + take and r + give, each one
-    addition, when the two share a fiber.
+    Tables and marginals are packed with one ``bound.bit_length()``-bit
+    field per outcome or label, which no count up to the bound overflows,
+    so packing is injective and int order is tuple-lex order; only the
+    witness is unpacked.  The fibers of two or more tables are numbered in
+    marginal order, their tables in lex order.  A move, its two sides'
+    common outcomes cancelled, takes one multiset and gives another, the
+    larger of size s.  Within the bound it applies exactly to the tables
+    r + take with r any table of total at most ``bound`` - s.  Marginals
+    add, so when the signed sum of its outcomes' packed columns is zero
+    the two sides share a marginal and r + take and r + give, each one
+    addition, are two tables of one fiber; otherwise the move leaves every
+    fiber and joins nothing.
     """
     _check_fiber_bound(matrix, bound, table_budget)
-    units = _fields(bound.bit_length(), len(matrix.outcomes))
+    width, n = bound.bit_length(), len(matrix.outcomes)
+    units = _fields(width, n)
+    rows = _fields(width, len(matrix.labels))
+    columns = [sum(rows[r] for r in col) for col in matrix.columns]
+    fibers = {}
+    by_total = []
+    for total in range(bound + 1):
+        tables = []
+        for marginal, table in _tables(total, units, columns):
+            fibers.setdefault(marginal, []).append(table)
+            tables.append(table)
+        by_total.append(tables)
+    shared = sorted(item for item in fibers.items() if len(item[1]) > 1)
+    ids = {}
+    for _, tables in shared:
+        tables.sort()
+        ids.update(zip(tables, range(len(ids), len(ids) + len(tables))))
     unit = dict(zip(matrix.outcomes, units))
-    total_tables, fiber_count, by_total, fibers, ids, fiber_of = _fiber_groups(
-        matrix, bound
-    )
+    column = dict(zip(matrix.outcomes, columns))
     # Each move once for both directions: (size, take, give), take < give.
-    packed = set()
+    joins = set()
     for move in moves:
         vec = {}
         for pair, sign in ((move.plus, 1), (move.minus, -1)):
@@ -675,10 +646,10 @@ def fibers_connected(
             sum(-d for d in vec.values() if d < 0),
         )
         # A move larger than the bound fits no table, nor its fields.
-        if 0 < size <= bound:
+        if 0 < size <= bound and not sum(column[x] * d for x, d in vec.items()):
             give = sum(unit[x] * d for x, d in vec.items() if d > 0)
             take = sum(unit[x] * -d for x, d in vec.items() if d < 0)
-            packed.add((size, min(take, give), max(take, give)))
+            joins.add((size, min(take, give), max(take, give)))
     parent = list(range(len(ids)))
 
     def find(i):
@@ -687,26 +658,23 @@ def fibers_connected(
             i = parent[i]
         return i
 
-    get = ids.get
-    for size, take, give in packed:
+    for size, take, give in joins:
         for total in range(bound - size + 1):
             for r in by_total[total]:
-                i = get(r + take)
-                if i is not None:
-                    j = get(r + give)
-                    if j is not None and fiber_of[i] == fiber_of[j]:
-                        parent[find(i)] = find(j)
-    for marginal, first, tables in fibers:
+                parent[find(ids[r + take])] = find(ids[r + give])
+    table_count = sum(map(len, by_total))
+    first = 0
+    for marginal, tables in shared:
         roots = {}
         for i, t in enumerate(tables, first):
             roots.setdefault(find(i), t)
         if len(roots) > 1:
-            width, n = bound.bit_length(), len(matrix.outcomes)
             t1, t2 = list(roots.values())[:2]
             witness = (
                 _unpack(marginal, width, len(matrix.labels)),
                 _unpack(t1, width, n),
                 _unpack(t2, width, n),
             )
-            return FiberReport(False, bound, total_tables, fiber_count, witness)
-    return FiberReport(True, bound, total_tables, fiber_count, None)
+            return FiberReport(False, bound, table_count, len(fibers), witness)
+        first += len(tables)
+    return FiberReport(True, bound, table_count, len(fibers), None)

@@ -20,7 +20,6 @@ from .model import (
     CStreeSpec,
     VariableSystem,
     format_outcome,
-    validate,
 )
 from .algebra import _compile, _minor_cells, is_balanced
 from .contexts import minimal_contexts
@@ -131,15 +130,6 @@ def perfect_context_basis(tree: CStreeSpec) -> tuple:
     """Same as the saturated route, but each context graph is first closed
     under directed moralization, enlarging parent sets until perfect."""
     return _saturated_route(tree, lambda dag: to_perfect(dag)[0], "perfected")
-
-
-def truncate(tree: CStreeSpec) -> CStreeSpec:
-    """Drop the last variable and its staging."""
-    system = tree.system
-    if system.p < 2:
-        raise PreconditionError("cannot truncate a one-variable tree")
-    sub = VariableSystem(system.cards[:-1], system.variables[:-1])
-    return validate(CStreeSpec(sub, tree.levels[: system.p - 1]))
 
 
 def quad_lift_basis(tree: CStreeSpec) -> tuple:

@@ -10,6 +10,7 @@ Failures print one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -360,7 +361,9 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="cstree",
         description="Staged event trees: validation, context graphs, "
@@ -458,10 +461,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CStreeError as exc:
-        _fail(exc)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CStreeError, OSError, ValueError) as exc:
         _fail(exc)
         return 1
 

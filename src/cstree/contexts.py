@@ -130,10 +130,8 @@ class _Oracle:
     one pass over the slice's outcomes sums every pair's table, and a pair
     survives when its table has rank one.  Decomposition makes a refuted
     pair refute every (A, B) that contains it, so only the bicliques of the
-    surviving pairs are ever decided: a statement confirmed in the same
-    slice that contains one decides it, and otherwise it is confirmed
-    symbolically (``statement_holds``).  Every true verdict rests on a
-    symbolic confirmation.
+    surviving pairs are ever decided, each once per slice and symbolically
+    (``statement_holds``): every verdict on a candidate is exact.
 
     The point is ``_integer_probabilities``: ``random_point``'s outcome
     table times one positive integer, built in integers, so each minor is
@@ -148,7 +146,6 @@ class _Oracle:
         self.probs = _integer_probabilities(tree)
         self.p = system.p
         self._pairs = {}  # slice -> mask of surviving pairs, bit i*p + j both ways
-        self._confirmed = {}  # slice -> [(A, B)] confirmed symbolically
         self._decided = {}  # (A, B, slice) -> verdict
 
     def _statement(self, a: int, b: int, vec: tuple) -> CsiStatement:
@@ -206,13 +203,7 @@ class _Oracle:
         key = (a, b, vec)
         verdict = self._decided.get(key)
         if verdict is None:
-            verdict = any(
-                _inside(a, b, a0, b0) for a0, b0 in self._confirmed.get(vec, ())
-            )
-            if not verdict:
-                verdict = statement_holds(self.tree, self._statement(a, b, vec))
-                if verdict:
-                    self._confirmed.setdefault(vec, []).append((a, b))
+            verdict = statement_holds(self.tree, self._statement(a, b, vec))
             self._decided[key] = verdict
         return verdict
 

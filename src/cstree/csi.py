@@ -277,6 +277,7 @@ _AXIOMS = {
     "intersection": intersection,
     "specialization": specialization,
     "absorption": absorption,
+    "cstree-rule": cstree_rule,
 }
 
 

@@ -419,9 +419,11 @@ def spec_from_json(data) -> CStreeSpec:
 
     Context keys are variable names as decimal strings; members are
     concatenated outcome digits (usable while every cardinality is at most
-    10).  An optional ``variables`` list names the variables when they are
-    not 1..p; context-subtree output uses this.  A field of the wrong JSON
-    type raises BadCardinalityError (cards, p, members) or BadIndexError.
+    10).  A stage entry giving both must have members equal to the
+    context's cylinder.  An optional ``variables`` list names the variables
+    when they are not 1..p; context-subtree output uses this.  A field of
+    the wrong JSON type raises BadCardinalityError (cards, p, members) or
+    BadIndexError.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -444,14 +446,13 @@ def spec_from_json(data) -> CStreeSpec:
         var = _shaped(entry["level"], int, "'level'")
         pos = system.position(var)
         for raw in _shaped(entry.get("stages", ()), list, "'stages'"):
+            context = members = None
             if "context" in _shaped(raw, dict, "a stage entry"):
-                levels[pos].append(Stage(var, _fixture_context(raw["context"])))
-            elif "members" in raw:
+                context = _fixture_context(raw["context"])
+            if "members" in raw:
                 given = _shaped(raw["members"], list, "'members'", BadCardinalityError)
                 members = tuple(_parse_member(m) for m in given)
-                levels[pos].append(Stage(var, members=members))
-            else:
-                raise BadIndexError("stage entry needs 'context' or 'members'")
+            levels[pos].append(Stage(var, context, members))
     return validate(CStreeSpec(system, tuple(tuple(l) for l in levels)))
 
 

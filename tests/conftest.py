@@ -36,8 +36,7 @@ def _context_statements(system: VariableSystem, ctx: Context):
 
 # The tuple fiber sweep that the packed one replaced, kept as the reference
 # the fiber exactness gates compare against.  Its grouping is kept per bound
-# in a dict the caller passes instead of on the matrix, whose per-bound slot
-# the packed grouping now fills.
+# in a dict the caller passes.
 def _reference_tables(total: int, length: int):
     """Nonnegative integer vectors of the given length and total, in lex
     order.  A vector counts a multiset of positions, and of two vectors the

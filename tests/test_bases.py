@@ -22,7 +22,6 @@ from cstree import (
     perfect_context_basis,
     quad_lift_basis,
     statement_binomials,
-    truncate,
     vanishes,
 )
 
@@ -125,16 +124,6 @@ def test_perfect_route_extends_saturated(fig3):
     assert perfect
     for b in perfect_context_basis(fig3):
         assert vanishes(fig3, b.to_poly())
-
-
-def test_truncate_drops_last_level(fig3):
-    smaller = truncate(fig3)
-    assert smaller.system.cards == (2, 2, 2)
-    assert smaller.system.variables == (1, 2, 3)
-    single = truncate(truncate(smaller))
-    assert single.system.p == 1
-    with pytest.raises(PreconditionError):
-        truncate(single)
 
 
 def test_basis_serialization(chain):

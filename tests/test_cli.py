@@ -105,6 +105,14 @@ TYPED_ERRORS = {
         (_fixture_with(cards=[2, None, 2]), "BadCardinality"),
         (_fixture_with(cards=[2, 2.5, 2]), "BadCardinality"),
         ({"p": 2, "cards": [2, 2], "variables": "12"}, "BadIndex"),
+        (_fixture_with(stage={"members": ["01", "01"]}), "Overlap"),
+        (_fixture_with(stage={"members": ["0"]}), "BadCardinality"),
+        (_fixture_with(stage={"members": ["02"]}), "BadIndex"),
+        (_fixture_with(stage={"members": ["0a"]}), "BadCardinality"),
+        (_fixture_with(stage={"members": []}), "BadIndex"),
+        ({"p": 2, "cards": [2, 2], "variables": [1]}, "BadCardinality"),
+        (_fixture_with(stage={"context": {"a": 0}}), "BadIndex"),
+        (_fixture_with(stage={}), "BadIndex"),
     ],
     ids=[
         "context-value-string",
@@ -116,6 +124,14 @@ TYPED_ERRORS = {
         "card-null",
         "card-float",
         "variables-string",
+        "member-repeated",
+        "member-short",
+        "member-digit-out-of-range",
+        "member-not-decimal",
+        "members-empty",
+        "variables-short",
+        "context-key-not-decimal",
+        "stage-entry-empty",
     ],
 )
 def test_malformed_fixture_shapes_are_typed_errors(capsys, tmp_path, fixture, expected):
@@ -199,6 +215,36 @@ def test_every_command_on_every_fixture_ends_cleanly(capsys, command, name):
         assert set(json.loads(err)) == {"error"}
     else:
         json.loads(out)
+
+
+def test_members_given_with_a_context_must_be_its_cylinder(capsys, tmp_path):
+    # X1=0 is the cylinder {00, 01}; {00, 11} is not.
+    fixture = _fixture_with(stage={"context": {"1": 0}, "members": ["00", "11"]})
+    error = _validate_error(capsys, tmp_path, fixture)
+    assert error["type"] == "NotACylinder"
+    path = tmp_path / "agreeing.json"
+    for members in (["00", "01"], ["01", "00"]):
+        stage = {"context": {"1": 0}, "members": members}
+        path.write_text(json.dumps(_fixture_with(stage=stage)))
+        code, report = _report(capsys, "validate", str(path))
+        assert code == 0
+        assert "3 _||_ 2 | 1 [X1=0]" in report["statements"]
+
+
+def test_the_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    argv = ["verify", "--method", "sat", "--fiber-bound", "1", CHAIN]
+    before = _run(capsys, *argv)
+    for bad in (["verify", "--method", "nope", CHAIN], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert _run(capsys, *argv) == before
+    assert before[0] == 0
 
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -405,6 +451,44 @@ def test_random_vanishing_reports_are_unchanged(capsys, monkeypatch, seed):
     monkeypatch.setitem(cli._METHODS, "sat", lambda tree: sat(tree) + (off_kernel,))
     argv = ["--seed", str(seed), "verify", "--method", "sat", "--random", "--symbolic"]
     assert _stdout_sha(capsys, *argv, "fixtures/chain123.json") == (2, RANDOM_FAILURE)
+
+
+def test_verify_reports_a_disconnected_fiber(capsys, tmp_path):
+    # The fourth binary staging of four variables in enumeration order: its
+    # saturated basis leaves a fiber of two tables apart at bound 2.
+    fixture = {
+        "cards": [2, 2, 2, 2],
+        "levels": [
+            {"level": 2, "stages": [{"context": {}}]},
+            {"level": 3, "stages": [{"context": {}}]},
+            {
+                "level": 4,
+                "stages": [{"context": {"1": 0}}, {"context": {"1": 1, "2": 0}}],
+            },
+        ],
+    }
+    path = tmp_path / "staging.json"
+    path.write_text(json.dumps(fixture))
+    argv = ["verify", "--method", "sat", "--fiber-bound", "2", str(path)]
+    code, report = _report(capsys, *argv)
+    assert code == 2 and report["ok"] is False
+    fibers = report["methods"]["sat"]["fibers"]
+    assert fibers["connected"] is False
+    assert fibers["witness_tables"] == [
+        [0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+    ]
+
+
+def test_moralize_reads_a_single_dag(capsys, tmp_path):
+    path = tmp_path / "dag.json"
+    dag = {"vertices": [1, 2, 3], "edges": [[1, 3], [2, 3]]}
+    for extra in ({}, {"context": {"4": 0}}):
+        path.write_text(json.dumps({**dag, **extra}))
+        code, report = _report(capsys, "moralize", str(path))
+        assert code == 0
+        assert report["added"] == [[1, 2]]
+        assert report["edges"] == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_moralize_single_pass_and_iterate(capsys):

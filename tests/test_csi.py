@@ -230,3 +230,9 @@ def test_combination_rule_example():
     st2 = parse_statement("3 _||_ 2 [X1=0]")
     merged = cstree_rule(st1, st2)
     assert merged.canonicalize() == parse_statement("3 _||_ 1,2")
+
+
+def test_apply_axiom_dispatches_the_cstree_rule():
+    st1 = parse_statement("3 _||_ 1 [X2=0]")
+    st2 = parse_statement("3 _||_ 2 [X1=0]")
+    assert apply_axiom("cstree-rule", st1, st2) == cstree_rule(st1, st2)

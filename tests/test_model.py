@@ -74,6 +74,16 @@ def test_member_stage_resolves_to_context():
     assert stage.context == Context.of({1: 0})
 
 
+def test_members_parse_as_digit_lists_or_strings():
+    def fixture(members):
+        level = {"level": 3, "stages": [{"members": members}]}
+        return {"cards": [2, 2, 2], "levels": [level]}
+
+    listed = spec_from_json(fixture([[0, 0], [0, 1]]))
+    assert listed == spec_from_json(fixture(["00", "01"]))
+    assert listed.listed_stages(3)[0].context == Context.of({1: 0})
+
+
 def test_non_cylinder_members_rejected():
     with pytest.raises(NotACylinderError):
         load("fig2_invalid.json")

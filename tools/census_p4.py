@@ -3,10 +3,13 @@
 Every staging of (2, 2, 2, 2) goes through ``is_balanced``,
 ``minimal_contexts`` and ``is_perfect``, and each minimal-context graph is
 perfected with ``to_perfect`` and audited with
-``separation_disagreements``.  The counts are the paper's structure
-theorems on p = 4: every tree whose minimal-context graphs are all perfect
-is balanced, and directed moralization keeps every independence of a
-balanced tree, while on unbalanced trees the audit can fail.
+``separation_disagreements``.  The saturated basis
+(``markov_basis_saturated``) is swept with ``fibers_connected`` at bound 2.
+The counts are the paper's structure theorems on p = 4: every tree whose
+minimal-context graphs are all perfect is balanced, directed moralization
+keeps every independence of a balanced tree, and the saturated basis of a
+balanced tree connects its fibers, while on unbalanced trees the audit and
+the fiber sweep can fail.
 
 Usage: python3 tools/census_p4.py
 
@@ -18,15 +21,20 @@ import json
 import pathlib
 import sys
 import time
+import warnings
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from cstree import (  # noqa: E402
     ContextDag,
+    UnbalancedWarning,
     VariableSystem,
     enumerate_cstrees,
+    exponent_matrix,
+    fibers_connected,
     is_balanced,
     is_perfect,
+    markov_basis_saturated,
     minimal_contexts,
     separation_disagreements,
     to_perfect,
@@ -38,6 +46,8 @@ EXPECTED = {
     "all_graphs_perfect": 353,
     "balanced_with_disagreements": 0,
     "unbalanced_with_disagreements": 220,
+    "balanced_with_disconnected_fibers": 0,
+    "unbalanced_with_disconnected_fibers": 84,
 }
 
 
@@ -48,11 +58,16 @@ def census() -> dict:
         cdags = minimal_contexts(tree)
         perfected = [ContextDag(cd.context, to_perfect(cd.dag)[0]) for cd in cdags]
         disagrees = bool(separation_disagreements(tree, perfected))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnbalancedWarning)
+            basis = markov_basis_saturated(tree)
+        fibers = fibers_connected(exponent_matrix(tree), basis, bound=2)
         counts["trees"] += 1
         counts["balanced"] += balanced
         counts["all_graphs_perfect"] += all(is_perfect(cd.dag) for cd in cdags)
         key = "balanced" if balanced else "unbalanced"
         counts[f"{key}_with_disagreements"] += disagrees
+        counts[f"{key}_with_disconnected_fibers"] += not fibers.connected
     return counts
 
 
