@@ -6,19 +6,44 @@ import itertools
 
 from .csi import CsiStatement
 from .errors import BadIndexError
-from .graphs import ContextDag, Dag, saturated_statements
+from .graphs import ContextDag, Dag, d_separated, saturated_statements
 from .model import Context, CStreeSpec, VariableSystem
 from .algebra import _compile, _integer_probabilities, statement_holds
+
+
+def _line_edges(compiled, vec: tuple, heads) -> set:
+    """The stage-line rule in the slice ``vec`` (per-position values, -1
+    where free) of a compiled tree: (i, j) for each head j, pinned or free,
+    and each free i < j, when some pair of vertices of j's layer, agreeing
+    with the slice's earlier pins and differing only in coordinate i, has
+    two different compiled stage ids.  A constant line means j ignores i
+    there; a pinned position gets edges in but never out."""
+    cards, first = compiled.system.cards, compiled.first
+    free = [i for i, x in enumerate(vec) if x < 0]
+    edges = set()
+    for j in heads:
+        ids = first[j]
+        axes = [range(d) if x < 0 else (x,) for x, d in zip(vec[:j], cards)]
+        for i in free:
+            if i >= j:
+                break
+            line = axes[:i] + [(0,)] + axes[i + 1 :]
+            if any(
+                ids[v[:i] + (x,) + v[i + 1 :]] != ids[v]
+                for v in itertools.product(*line)
+                for x in range(1, cards[i])
+            ):
+                edges.add((i, j))
+    return edges
 
 
 def context_dag(tree: CStreeSpec, context=Context()) -> ContextDag:
     """The DAG over the unpinned variables read off the staging.
 
-    An earlier unpinned variable i parents j when some pair of vertices of
-    j's layer, agreeing with the context's earlier pins and differing only
-    in coordinate i, has two different compiled stage ids; a constant line
-    means j ignores i there.  This is the empty-context graph of
-    ``context_subtree(tree, context)``, read off the tree's own compiled
+    An earlier unpinned variable i parents a later unpinned j when the
+    stage-line rule (``_line_edges``, asked for the unpinned heads only)
+    draws i -> j in the context's slice.  This is the empty-context graph
+    of ``context_subtree(tree, context)``, read off the tree's own compiled
     form.  An unknown variable, a value out of range, or a context pinning
     every variable raises BadIndexError.
     """
@@ -27,21 +52,11 @@ def context_dag(tree: CStreeSpec, context=Context()) -> ContextDag:
     pinned = system.pinned(ctx)
     if len(pinned) == system.p:
         raise BadIndexError("cannot pin every variable")
-    free = [pos for pos in range(system.p) if pos not in pinned]
-    first = _compile(tree).first
-    edges = set()
-    for n, j in enumerate(free):
-        ids = first[j]
-        axes = [(pinned[k],) if k in pinned else range(system.cards[k]) for k in range(j)]
-        for i in free[:n]:
-            line = axes[:i] + [(0,)] + axes[i + 1 :]
-            if any(
-                ids[v[:i] + (x,) + v[i + 1 :]] != ids[v]
-                for v in itertools.product(*line)
-                for x in range(1, system.cards[i])
-            ):
-                edges.add((system.variables[i], system.variables[j]))
-    return ContextDag(ctx, Dag.of((system.variables[pos] for pos in free), edges))
+    vec = tuple(pinned.get(pos, -1) for pos in range(system.p))
+    free = [pos for pos, x in enumerate(vec) if x < 0]
+    names = system.variables
+    edges = ((names[i], names[j]) for i, j in _line_edges(_compile(tree), vec, free))
+    return ContextDag(ctx, Dag.of((names[pos] for pos in free), edges))
 
 
 def _context_vectors(system: VariableSystem):
@@ -130,8 +145,18 @@ class _Oracle:
     one pass over the slice's outcomes sums every pair's table, and a pair
     survives when its table has rank one.  Decomposition makes a refuted
     pair refute every (A, B) that contains it, so only the bicliques of the
-    surviving pairs are ever decided, each once per slice and symbolically
-    (``statement_holds``): every verdict on a candidate is exact.
+    surviving pairs are ever decided, each once per slice.
+
+    A candidate is first tried on the slice's graph: the stage-line rule
+    (``_line_edges``) with edges into pinned positions kept.  In the slice
+    the outcome probability is a product of one factor per free position
+    given its parents and one per pinned position given its parents, a
+    Bayesian network whose pinned positions are observed sinks; so when A
+    and B are d-separated given the pinned positions, A _||_ B holds at
+    every parameter value and every minor vanishes identically.  What the
+    graph cannot show (independence that is context-specific within the
+    slice) is decided symbolically (``statement_holds``).  Either way the
+    verdict on a candidate is exact.
 
     The point is ``_integer_probabilities``: ``random_point``'s outcome
     table times one positive integer, built in integers, so each minor is
@@ -143,6 +168,7 @@ class _Oracle:
     def __init__(self, tree: CStreeSpec):
         self.tree = tree
         self.system = system = tree.system
+        self.compiled = _compile(tree)
         self.probs = _integer_probabilities(tree)
         self.p = system.p
         self._pairs = {}  # slice -> mask of surviving pairs, bit i*p + j both ways
@@ -198,12 +224,22 @@ class _Oracle:
         adjacency = [(graph >> (i * self.p)) & row & rest for i in range(self.p)]
         return _bicliques(adjacency, rest)
 
+    def _separated(self, a: int, b: int, vec: tuple) -> bool:
+        """Whether the slice's graph d-separates A from B given the pinned
+        positions: a proof that A _||_ B holds in the slice at every
+        parameter value."""
+        dag = Dag.of(range(self.p), _line_edges(self.compiled, vec, range(self.p)))
+        pinned = [i for i, x in enumerate(vec) if x >= 0]
+        return d_separated(dag, _bits(a), _bits(b), pinned)
+
     def _independent(self, a: int, b: int, vec: tuple) -> bool:
         """A _||_ B in one slice, every cross pair having survived there."""
         key = (a, b, vec)
         verdict = self._decided.get(key)
         if verdict is None:
-            verdict = statement_holds(self.tree, self._statement(a, b, vec))
+            verdict = self._separated(a, b, vec) or statement_holds(
+                self.tree, self._statement(a, b, vec)
+            )
             self._decided[key] = verdict
         return verdict
 
@@ -261,7 +297,8 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     makes each of its variables absorb.  The empty context always leads the
     list (a complete graph when no global statement holds).  Validity is
     decided by the semantic oracle, which tries only the statements whose
-    variable pairs all survive its point screens; the graphs come from
+    variable pairs all survive its point screens, and proves each on its
+    slices' graphs before it expands any minor; the graphs come from
     ``context_dag``.
     The search runs once per compiled tree, which keeps its result, so the
     bases, ``contexts`` and the census share it.

@@ -26,6 +26,7 @@ from cstree import (
     random_point,
     saturated_statements,
     separation_disagreements,
+    spec_from_json,
     statement_holds,
     statement_zero_at,
     tree_of_dag,
@@ -207,18 +208,18 @@ def test_kept_minimal_contexts_equal_a_fresh_search(cards):
         assert kept == contexts_module._minimal_contexts(tree)
 
 
+GRAPH_FIXTURES = (
+    "fig1.json",
+    "fig3.json",
+    "fig4.json",
+    "fig4_textreading.json",
+    "fig5_tree.json",
+    "chain123.json",
+)
+
+
 def _decomposition_trees():
-    trees = [
-        load(name)
-        for name in (
-            "fig1.json",
-            "fig3.json",
-            "fig4.json",
-            "fig4_textreading.json",
-            "fig5_tree.json",
-            "chain123.json",
-        )
-    ]
+    trees = [load(name) for name in GRAPH_FIXTURES]
     rng = random.Random(2022)
     for cards in ((3, 2, 2), (2, 3, 3), (3, 3, 2), (2, 2, 2, 3)):
         for _ in range(2):
@@ -340,3 +341,80 @@ def test_audit_rejects_claims_off_the_tree(fig1, dag, message):
     # The audit asks statement_holds, whose minor walk types the error.
     with pytest.raises(BadIndexError, match=message):
         separation_disagreements(fig1, [dag])
+
+
+def _canonical_pairs(free):
+    """Every canonical (A, B) of disjoint nonempty position masks within a
+    list of positions: A holds the lowest position of A | B."""
+    for split in itertools.product((0, 1, 2), repeat=len(free)):
+        a = sum(1 << i for i, t in zip(free, split) if t == 0)
+        b = sum(1 << i for i, t in zip(free, split) if t == 1)
+        if a and b and a & -a < b & -b:
+            yield a, b
+
+
+def test_slice_certificate_implies_statement_holds():
+    # A slice graph that d-separates A from B given the pinned positions is
+    # a proof of A _||_ B in the slice; the symbolic check must agree on
+    # every certified statement.  Without the edges into pinned positions
+    # the graph certifies false statements, which this catches.
+    trees = _decomposition_trees()
+    rng = random.Random(41)
+    for cards in ((2, 2, 2, 2), (2, 3, 2, 2)):
+        trees += [random_cstree(VariableSystem(cards), rng) for _ in range(30)]
+    outcomes = set()
+    for tree in trees:
+        oracle = contexts_module._Oracle(tree)
+        for vec in contexts_module._context_vectors(tree.system):
+            free = [i for i, x in enumerate(vec) if x < 0]
+            if len(free) < 2:
+                continue
+            for a, b in _canonical_pairs(free):
+                certified = oracle._separated(a, b, vec)
+                outcomes.add(certified)
+                if certified:
+                    statement = oracle._statement(a, b, vec)
+                    assert statement_holds(tree, statement), (tree, statement)
+    assert outcomes == {True, False}
+
+
+# Staging 361 of the p=4 binary census: X1 _||_ X2 holds in the slices
+# X4 = 0 and X4 = 1, yet the slice graph joins X1 and X2 through X3, a
+# parent of the pinned X4.  X3 reads X2 only when X1 = 1, and X4 reads X3
+# only when X1 = 0: independence context-specific inside the slice.
+CENSUS_361 = {
+    "p": 4,
+    "cards": [2, 2, 2, 2],
+    "levels": [
+        {"level": 2, "stages": [{"context": {}}]},
+        {"level": 3, "stages": [{"context": {"1": 0}}]},
+        {
+            "level": 4,
+            "stages": [
+                {"context": {"1": 0, "3": 0}},
+                {"context": {"1": 0, "3": 1}},
+                {"context": {"1": 1}},
+            ],
+        },
+    ],
+}
+
+
+def test_symbolic_fallback_decides_what_the_slice_graph_cannot_show():
+    tree = spec_from_json(CENSUS_361)
+    oracle = contexts_module._Oracle(tree)
+    for x in (0, 1):
+        vec = (-1, -1, -1, x)
+        assert not oracle._separated(0b1, 0b10, vec)
+        assert statement_holds(tree, oracle._statement(0b1, 0b10, vec))
+        assert oracle._independent(0b1, 0b10, vec)
+
+
+def test_search_without_slice_certificates_is_unchanged(monkeypatch):
+    # The graph proof only saves symbolic checks: with every certificate
+    # withheld, the search keeps the same contexts and graphs.  The random
+    # draws are pinned to the symbolic search's output in test_golden.py.
+    trees = [load(name) for name in GRAPH_FIXTURES] + [spec_from_json(CENSUS_361)]
+    expected = [minimal_contexts(tree) for tree in trees]
+    monkeypatch.setattr(contexts_module._Oracle, "_separated", lambda *args: False)
+    assert [contexts_module._minimal_contexts(tree) for tree in trees] == expected

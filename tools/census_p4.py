@@ -9,7 +9,10 @@ The counts are the paper's structure theorems on p = 4: every tree whose
 minimal-context graphs are all perfect is balanced, directed moralization
 keeps every independence of a balanced tree, and the saturated basis of a
 balanced tree connects its fibers, while on unbalanced trees the audit and
-the fiber sweep can fail.
+the fiber sweep can fail.  The census also counts the statements the
+minimal-context search expands symbolically (``statement_holds`` calls made
+inside ``minimal_contexts``; the audit's are not counted): every other
+true statement the search meets is proved on a slice graph.
 
 Usage: python3 tools/census_p4.py
 
@@ -25,6 +28,7 @@ import warnings
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from cstree import contexts as contexts_module  # noqa: E402
 from cstree import (  # noqa: E402
     ContextDag,
     UnbalancedWarning,
@@ -48,14 +52,31 @@ EXPECTED = {
     "unbalanced_with_disagreements": 220,
     "balanced_with_disconnected_fibers": 0,
     "unbalanced_with_disconnected_fibers": 84,
+    "search_symbolic_checks": 8,
 }
+
+
+def searched(tree, counts: dict) -> tuple:
+    """``minimal_contexts(tree)``, counting the ``statement_holds`` calls
+    the search makes."""
+    holds = contexts_module.statement_holds
+
+    def counted(*args):
+        counts["search_symbolic_checks"] += 1
+        return holds(*args)
+
+    contexts_module.statement_holds = counted
+    try:
+        return minimal_contexts(tree)
+    finally:
+        contexts_module.statement_holds = holds
 
 
 def census() -> dict:
     counts = dict.fromkeys(EXPECTED, 0)
     for tree in enumerate_cstrees(VariableSystem((2, 2, 2, 2))):
         balanced, _ = is_balanced(tree)
-        cdags = minimal_contexts(tree)
+        cdags = searched(tree, counts)
         perfected = [ContextDag(cd.context, to_perfect(cd.dag)[0]) for cd in cdags]
         disagrees = bool(separation_disagreements(tree, perfected))
         with warnings.catch_warnings():
