@@ -161,6 +161,37 @@ class _Compiled:
         return out
 
     @cached_property
+    def lines(self) -> list:
+        """Per depth j, the stage-line rule as bitsets over j's layer, bit n
+        for the n-th vertex in product order: ``(varies, eq)``, where
+        ``varies[i]`` flags every vertex whose i-line (the vertices differing
+        from it only in coordinate i) carries two stage ids and ``eq[k][c]``
+        flags the vertices with x_k = c."""
+        cards = self.system.cards
+        out = []
+        for j, ids in enumerate(self.first):
+            row = [ids[v] for v in itertools.product(*map(range, cards[:j]))]
+            size = stride = len(row)
+            varies, eq = [], []
+            for d in cards[:j]:
+                # Coordinate k of vertex n is n // stride % d: a k-line runs
+                # from a vertex with x_k = 0 in steps of stride.
+                stride //= d
+                period = d * stride
+                mask = 0
+                for start in range(0, size, period):
+                    for base in range(start, start + stride):
+                        line = range(base, base + period, stride)
+                        if any(row[n] != row[base] for n in line):
+                            mask |= sum(1 << n for n in line)
+                varies.append(mask)
+                eq.append(
+                    [sum(1 << n for n in range(size) if n // stride % d == c) for c in range(d)]
+                )
+            out.append((varies, eq))
+        return out
+
+    @cached_property
     def images(self) -> dict:
         """outcome -> E(x), the eliminated image of p_x."""
         layer = {(): {0: 1}}

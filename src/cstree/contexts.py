@@ -6,46 +6,37 @@ import itertools
 
 from .csi import CsiStatement
 from .errors import BadIndexError
-from .graphs import ContextDag, Dag, d_separated, saturated_statements
+from .graphs import ContextDag, Dag, saturated_statements
 from .model import Context, CStreeSpec, VariableSystem
 from .algebra import _compile, _integer_probabilities, statement_holds
 
 
-def _line_edges(compiled, vec: tuple, heads) -> set:
-    """The stage-line rule in the slice ``vec`` (per-position values, -1
-    where free) of a compiled tree: (i, j) for each head j, pinned or free,
-    and each free i < j, when some pair of vertices of j's layer, agreeing
-    with the slice's earlier pins and differing only in coordinate i, has
-    two different compiled stage ids.  A constant line means j ignores i
-    there; a pinned position gets edges in but never out."""
-    cards, first = compiled.system.cards, compiled.first
-    free = [i for i, x in enumerate(vec) if x < 0]
-    edges = set()
-    for j in heads:
-        ids = first[j]
-        axes = [range(d) if x < 0 else (x,) for x, d in zip(vec[:j], cards)]
-        for i in free:
-            if i >= j:
-                break
-            line = axes[:i] + [(0,)] + axes[i + 1 :]
-            if any(
-                ids[v[:i] + (x,) + v[i + 1 :]] != ids[v]
-                for v in itertools.product(*line)
-                for x in range(1, cards[i])
-            ):
-                edges.add((i, j))
-    return edges
+def _line_parents(compiled, vec: tuple, j: int) -> int:
+    """The stage-line rule for head j, pinned or free, in the slice ``vec``
+    (per-position values, -1 where free) of a compiled tree: the mask of
+    free i < j such that some vertex of j's layer agreeing with the slice's
+    earlier pins has an i-line carrying two compiled stage ids.  A constant
+    line means j ignores i there; a pinned position gets edges in but never
+    out.  Read off the tree's ``lines`` bitsets: the pins select their
+    vertices by one AND per pinned position."""
+    varies, eq = compiled.lines[j]
+    within = -1
+    for k, x in enumerate(vec[:j]):
+        if x >= 0:
+            within &= eq[k][x]
+    return sum(1 << i for i, x in enumerate(vec[:j]) if x < 0 and varies[i] & within)
 
 
 def context_dag(tree: CStreeSpec, context=Context()) -> ContextDag:
     """The DAG over the unpinned variables read off the staging.
 
     An earlier unpinned variable i parents a later unpinned j when the
-    stage-line rule (``_line_edges``, asked for the unpinned heads only)
-    draws i -> j in the context's slice.  This is the empty-context graph
-    of ``context_subtree(tree, context)``, read off the tree's own compiled
-    form.  An unknown variable, a value out of range, or a context pinning
-    every variable raises BadIndexError.
+    stage-line rule (``_line_parents``, asked for the unpinned heads only)
+    draws i -> j in the context's slice: the rule is kept as bitsets on the
+    tree's compiled form, built at the first call.  This is the
+    empty-context graph of ``context_subtree(tree, context)``.  An unknown
+    variable, a value out of range, or a context pinning every variable
+    raises BadIndexError.
     """
     ctx = Context.of(context)
     system = tree.system
@@ -55,7 +46,10 @@ def context_dag(tree: CStreeSpec, context=Context()) -> ContextDag:
     vec = tuple(pinned.get(pos, -1) for pos in range(system.p))
     free = [pos for pos, x in enumerate(vec) if x < 0]
     names = system.variables
-    edges = ((names[i], names[j]) for i, j in _line_edges(_compile(tree), vec, free))
+    compiled = _compile(tree)
+    edges = (
+        (names[i], names[j]) for j in free for i in _bits(_line_parents(compiled, vec, j))
+    )
     return ContextDag(ctx, Dag.of((names[pos] for pos in free), edges))
 
 
@@ -134,6 +128,15 @@ def _rank_one(table: dict, rows: int, cols: int) -> bool:
     )
 
 
+def _cube(vec: tuple, s: int) -> tuple:
+    """The cube of a context and a conditioning mask S: the context vector
+    with the positions of S marked -2.  A cube with no mark is a slice."""
+    cube = list(vec)
+    for i in _bits(s):
+        cube[i] = -2
+    return tuple(cube)
+
+
 class _Oracle:
     """Exact validity of A _||_ B | S [C] on one tree, decided pair first.
 
@@ -145,18 +148,22 @@ class _Oracle:
     one pass over the slice's outcomes sums every pair's table, and a pair
     survives when its table has rank one.  Decomposition makes a refuted
     pair refute every (A, B) that contains it, so only the bicliques of the
-    surviving pairs are ever decided, each once per slice.
+    surviving pairs are ever decided, each once per slice.  The survivors
+    of (C, S) are kept per cube: the AND, over the values of the lowest
+    position of S, of the survivors of the cubes pinning it, so a sibling
+    context's cubes and a wider S reuse what is already screened.
 
     A candidate is first tried on the slice's graph: the stage-line rule
-    (``_line_edges``) with edges into pinned positions kept.  In the slice
+    (``_line_parents``) with edges into pinned positions kept.  In the slice
     the outcome probability is a product of one factor per free position
     given its parents and one per pinned position given its parents, a
     Bayesian network whose pinned positions are observed sinks; so when A
     and B are d-separated given the pinned positions, A _||_ B holds at
-    every parameter value and every minor vanishes identically.  What the
-    graph cannot show (independence that is context-specific within the
-    slice) is decided symbolically (``statement_holds``).  Either way the
-    verdict on a candidate is exact.
+    every parameter value and every minor vanishes identically.  The
+    separation runs on parent masks (``_separated``).  What the graph
+    cannot show (independence that is context-specific within the slice)
+    is decided symbolically (``statement_holds``).  Either way the verdict
+    on a candidate is exact.
 
     The point is ``_integer_probabilities``: ``random_point``'s outcome
     table times one positive integer, built in integers, so each minor is
@@ -171,7 +178,7 @@ class _Oracle:
         self.compiled = _compile(tree)
         self.probs = _integer_probabilities(tree)
         self.p = system.p
-        self._pairs = {}  # slice -> mask of surviving pairs, bit i*p + j both ways
+        self._pairs = {}  # cube -> mask of surviving pairs, bit i*p + j both ways
         self._decided = {}  # (A, B, slice) -> verdict
 
     def _statement(self, a: int, b: int, vec: tuple) -> CsiStatement:
@@ -180,27 +187,34 @@ class _Oracle:
         a, b = (frozenset(names[i] for i in _bits(part)) for part in (a, b))
         return CsiStatement(a, b, (), _context(self.system, vec))
 
-    def pairs(self, vec: tuple) -> int:
-        """The pairs of free positions that survive the point in a slice:
-        one pass over the slice's outcomes sums every pair's 2-way table,
-        keyed (x_i, x_j)."""
-        mask = self._pairs.get(vec)
+    def pairs(self, cube: tuple) -> int:
+        """The pairs of free positions that survive the point in every
+        slice of a cube.  A slice is screened in one pass over its
+        outcomes, which sums every pair's 2-way table, keyed (x_i, x_j)."""
+        mask = self._pairs.get(cube)
         if mask is None:
-            cards, probs, p = self.system.cards, self.probs, self.p
-            free = [i for i, x in enumerate(vec) if x < 0]
-            pairs = list(itertools.combinations(free, 2))
-            tables = [{} for _ in pairs]
-            axes = [range(d) if x < 0 else (x,) for x, d in zip(vec, cards)]
-            for x in itertools.product(*axes):
-                w = probs[x]
+            cards = self.system.cards
+            if -2 in cube:
+                i = cube.index(-2)
+                mask = -1
+                for x in range(cards[i]):
+                    mask &= self.pairs(cube[:i] + (x,) + cube[i + 1 :])
+            else:
+                probs, p = self.probs, self.p
+                free = [i for i, x in enumerate(cube) if x < 0]
+                pairs = list(itertools.combinations(free, 2))
+                tables = [{} for _ in pairs]
+                axes = [range(d) if x < 0 else (x,) for x, d in zip(cube, cards)]
+                for x in itertools.product(*axes):
+                    w = probs[x]
+                    for (i, j), table in zip(pairs, tables):
+                        k = x[i], x[j]
+                        table[k] = table.get(k, 0) + w
+                mask = 0
                 for (i, j), table in zip(pairs, tables):
-                    k = x[i], x[j]
-                    table[k] = table.get(k, 0) + w
-            mask = 0
-            for (i, j), table in zip(pairs, tables):
-                if _rank_one(table, cards[i], cards[j]):
-                    mask |= 1 << (i * p + j) | 1 << (j * p + i)
-            self._pairs[vec] = mask
+                    if _rank_one(table, cards[i], cards[j]):
+                        mask |= 1 << (i * p + j) | 1 << (j * p + i)
+            self._pairs[cube] = mask
         return mask
 
     def slices(self, vec: tuple, s: int) -> list:
@@ -214,23 +228,43 @@ class _Oracle:
             out.append(tuple(sliced))
         return out
 
-    def candidates(self, slices: list, rest: int) -> list:
+    def candidates(self, cube: tuple, rest: int) -> list:
         """Canonical (A, B) within ``rest``, the free positions outside S,
-        whose every cross pair survives in every slice, largest first."""
-        graph = -1
-        for sliced in slices:
-            graph &= self.pairs(sliced)
+        whose every cross pair survives in every slice of the cube,
+        largest first."""
+        graph = self.pairs(cube)
+        if not graph:
+            return []
         row = (1 << self.p) - 1
         adjacency = [(graph >> (i * self.p)) & row & rest for i in range(self.p)]
         return _bicliques(adjacency, rest)
 
     def _separated(self, a: int, b: int, vec: tuple) -> bool:
         """Whether the slice's graph d-separates A from B given the pinned
-        positions: a proof that A _||_ B holds in the slice at every
-        parameter value."""
-        dag = Dag.of(range(self.p), _line_edges(self.compiled, vec, range(self.p)))
-        pinned = [i for i, x in enumerate(vec) if x >= 0]
-        return d_separated(dag, _bits(a), _bits(b), pinned)
+        positions Z: a proof that A _||_ B holds in the slice at every
+        parameter value.  Parents come before their children, so one
+        descending pass closes A | B | Z under parents; A then must not
+        reach B in the moral graph of that closure without passing Z."""
+        pinned = sum(1 << i for i, x in enumerate(vec) if x >= 0)
+        closure = a | b | pinned
+        parents = {}
+        for j in range(self.p - 1, -1, -1):
+            if closure >> j & 1:
+                parents[j] = _line_parents(self.compiled, vec, j)
+                closure |= parents[j]
+        adjacency = [0] * self.p
+        for j, mask in parents.items():
+            adjacency[j] |= mask
+            for i in _bits(mask):
+                adjacency[i] |= mask & ~(1 << i) | 1 << j
+        reached = frontier = a
+        while frontier:
+            step = 0
+            for i in _bits(frontier):
+                step |= adjacency[i]
+            frontier = step & ~pinned & ~reached
+            reached |= frontier
+        return not reached & b
 
     def _independent(self, a: int, b: int, vec: tuple) -> bool:
         """A _||_ B in one slice, every cross pair having survived there."""
@@ -249,9 +283,8 @@ class _Oracle:
         cross = 0
         for i in _bits(a):
             cross |= b << (i * p)
-        slices = self.slices(vec, s)
-        return all(not cross & ~self.pairs(v) for v in slices) and all(
-            self._independent(a, b, v) for v in slices
+        return not cross & ~self.pairs(_cube(vec, s)) and all(
+            self._independent(a, b, v) for v in self.slices(vec, s)
         )
 
     def tied(self, vec: tuple) -> bool:
@@ -260,7 +293,8 @@ class _Oracle:
 
         A statement absorbed by a variable has every sub-statement absorbed
         by it, so a candidate inside one already found absorbed is skipped,
-        and the largest are tried first.
+        and the largest are tried first.  The slices of (C, S) are listed
+        only once a candidate must be decided on them.
         """
         free = sum(1 << i for i, x in enumerate(vec) if x < 0)
         pinned = [i for i, x in enumerate(vec) if x >= 0]
@@ -269,11 +303,13 @@ class _Oracle:
             rest = free & ~s
             if rest.bit_count() >= 2:
                 absorbed = []
-                slices = self.slices(vec, s)
-                for a, b in self.candidates(slices, rest):
-                    if any(
-                        _inside(a, b, a0, b0) for a0, b0 in absorbed
-                    ) or not all(self._independent(a, b, v) for v in slices):
+                slices = None
+                for a, b in self.candidates(_cube(vec, s), rest):
+                    if any(_inside(a, b, a0, b0) for a0, b0 in absorbed):
+                        continue
+                    if slices is None:
+                        slices = self.slices(vec, s)
+                    if not all(self._independent(a, b, v) for v in slices):
                         continue
                     if not any(
                         self.holds(a, b, s | 1 << i, vec[:i] + (-1,) + vec[i + 1 :])
@@ -297,9 +333,11 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     makes each of its variables absorb.  The empty context always leads the
     list (a complete graph when no global statement holds).  Validity is
     decided by the semantic oracle, which tries only the statements whose
-    variable pairs all survive its point screens, and proves each on its
-    slices' graphs before it expands any minor; the graphs come from
-    ``context_dag``.
+    variable pairs all survive its point screens (kept per (context, S)
+    cube), and proves each by d-separation on its slices' graphs, as
+    bitmasks, before it expands any minor; the graphs come from
+    ``context_dag``.  Contexts leaving one variable free are never visited:
+    they hold no pair to tie, and they come last in the order.
     The search runs once per compiled tree, which keeps its result, so the
     bases, ``contexts`` and the census share it.
     """
@@ -313,7 +351,8 @@ def _minimal_contexts(tree: CStreeSpec) -> tuple:
     """The search behind ``minimal_contexts``, uncached."""
     oracle = _Oracle(tree)
     kept = [context_dag(tree, Context())]
-    for vec in itertools.islice(_context_vectors(tree.system), 1, None):
+    vectors = itertools.islice(_context_vectors(tree.system), 1, None)
+    for vec in itertools.takewhile(lambda vec: vec.count(-1) >= 2, vectors):
         if oracle.tied(vec):
             kept.append(context_dag(tree, _context(tree.system, vec)))
     return tuple(kept)

@@ -33,6 +33,31 @@ def _context_statements(system: VariableSystem, ctx: Context):
         yield CsiStatement(a, b, s, ctx)
 
 
+def _line_edges(compiled, vec: tuple, heads) -> set:
+    """The stage-line rule walked line by line, the reference for the
+    bitset rule: in the slice ``vec`` (per-position values, -1 where free),
+    (i, j) for each head j and each free i < j when some pair of vertices
+    of j's layer, agreeing with the slice's earlier pins and differing only
+    in coordinate i, has two different compiled stage ids."""
+    cards, first = compiled.system.cards, compiled.first
+    free = [i for i, x in enumerate(vec) if x < 0]
+    edges = set()
+    for j in heads:
+        ids = first[j]
+        axes = [range(d) if x < 0 else (x,) for x, d in zip(vec[:j], cards)]
+        for i in free:
+            if i >= j:
+                break
+            line = axes[:i] + [(0,)] + axes[i + 1 :]
+            if any(
+                ids[v[:i] + (x,) + v[i + 1 :]] != ids[v]
+                for v in itertools.product(*line)
+                for x in range(1, cards[i])
+            ):
+                edges.add((i, j))
+    return edges
+
+
 
 # The tuple fiber sweep that the packed one replaced, kept as the reference
 # the fiber exactness gates compare against.  Its grouping is kept per bound

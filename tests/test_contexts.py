@@ -17,6 +17,7 @@ from cstree import (
     all_contexts,
     context_dag,
     context_subtree,
+    d_separated,
     dags_from_json,
     local_markov,
     minimal_contexts,
@@ -35,7 +36,7 @@ from cstree import contexts as contexts_module
 from cstree.algebra import _compile
 from cstree.cli import main
 
-from conftest import _context_statements, fixture_path, load
+from conftest import _context_statements, _line_edges, fixture_path, load
 
 
 def _edge_map(cdags):
@@ -289,7 +290,7 @@ def _check_candidates(oracle, vec, s, free, surviving):
     def block(m):
         return frozenset(v for i, v in enumerate(names) if m >> i & 1)
 
-    got = oracle.candidates(oracle.slices(vec, mask(s)), mask(set(free) - s))
+    got = oracle.candidates(contexts_module._cube(vec, mask(s)), mask(set(free) - s))
     assert {(block(a), block(b)) for a, b in got} == surviving.get(s, set()), (vec, s)
     assert len(got) == len(set(got))
     sizes = [a.bit_count() + b.bit_count() for a, b in got]
@@ -326,6 +327,85 @@ def test_integer_screens_match_the_reference_screen():
                 if statement_zero_at(statement, system, probs):
                     mask |= 1 << (i * system.p + j) | 1 << (j * system.p + i)
             assert oracle.pairs(sl) == mask, sl
+
+
+def test_cubes_screen_the_and_of_their_slices():
+    # A cube's survivors are built from its sub-cubes, one marked position
+    # at a time; a fresh oracle screens each slice on its own.
+    for tree in _decomposition_trees():
+        oracle = contexts_module._Oracle(tree)
+        fresh = contexts_module._Oracle(tree)
+        for vec in contexts_module._context_vectors(tree.system):
+            free = sum(1 << i for i, x in enumerate(vec) if x < 0)
+            s = free
+            while True:
+                expected = -1
+                for sl in oracle.slices(vec, s):
+                    expected &= fresh.pairs(sl)
+                assert oracle.pairs(contexts_module._cube(vec, s)) == expected, (vec, s)
+                if not s:
+                    break
+                s = (s - 1) & free
+
+
+def test_contexts_leaving_one_variable_free_are_never_tied():
+    # The search does not visit them: with one free position no S leaves
+    # a pair to tie.
+    for name in GRAPH_FIXTURES:
+        tree = load(name)
+        oracle = contexts_module._Oracle(tree)
+        vectors = [
+            vec
+            for vec in contexts_module._context_vectors(tree.system)
+            if vec.count(-1) == 1
+        ]
+        assert vectors
+        assert not any(oracle.tied(vec) for vec in vectors)
+
+
+def _line_rule_trees():
+    trees = [load(name) for name in GRAPH_FIXTURES]
+    rng = random.Random(43)
+    for cards in ((2, 2, 2, 2), (3, 2, 2, 3), (2, 3, 2, 2, 2), (4, 2, 3)):
+        trees += [random_cstree(VariableSystem(cards), rng) for _ in range(5)]
+    return trees
+
+
+def _slice_vectors(system):
+    """Every slice vector: each position free (-1) or pinned to a value."""
+    return itertools.product(*(range(-1, d) for d in system.cards))
+
+
+def test_bitset_line_rule_equals_the_line_walk():
+    for tree in _line_rule_trees():
+        compiled = _compile(tree)
+        p = tree.system.p
+        for vec in _slice_vectors(tree.system):
+            got = {
+                (i, j)
+                for j in range(p)
+                for i in contexts_module._bits(contexts_module._line_parents(compiled, vec, j))
+            }
+            assert got == _line_edges(compiled, vec, range(p)), vec
+
+
+def test_mask_separation_equals_d_separated():
+    bits = contexts_module._bits
+    outcomes = set()
+    for tree in _line_rule_trees():
+        oracle = contexts_module._Oracle(tree)
+        p = tree.system.p
+        for vec in _slice_vectors(tree.system):
+            free = [i for i, x in enumerate(vec) if x < 0]
+            if len(free) < 2:
+                continue
+            dag = Dag.of(range(p), _line_edges(oracle.compiled, vec, range(p)))
+            pinned = [i for i, x in enumerate(vec) if x >= 0]
+            for a, b in _canonical_pairs(free):
+                separated = oracle._separated(a, b, vec)
+                assert separated == d_separated(dag, bits(a), bits(b), pinned), (vec, a, b)
+                outcomes.add(separated)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize(

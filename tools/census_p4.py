@@ -12,14 +12,18 @@ balanced tree connects its fibers, while on unbalanced trees the audit and
 the fiber sweep can fail.  The census also counts the statements the
 minimal-context search expands symbolically (``statement_holds`` calls made
 inside ``minimal_contexts``; the audit's are not counted): every other
-true statement the search meets is proved on a slice graph.
+true statement the search meets is proved on a slice graph.  The counts
+alone let a search change move contexts unseen, so the census also pins
+a sha256 over every tree's minimal contexts: one line per tree, in
+enumeration order, of each context's string and its graph's sorted edges.
 
 Usage: python3 tools/census_p4.py
 
-Prints the counts and the time as one JSON object and exits 1 unless every
-count equals its pinned value.
+Prints the counts, the contexts digest and the time as one JSON object and
+exits 1 unless every count and the digest equal their pinned values.
 """
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -54,6 +58,7 @@ EXPECTED = {
     "unbalanced_with_disconnected_fibers": 84,
     "search_symbolic_checks": 8,
 }
+CONTEXTS_SHA256 = "06cccf6fdda557bbe669321223d7c5b0459c0c1e6161f8278fe14660786407d0"
 
 
 def searched(tree, counts: dict) -> tuple:
@@ -72,11 +77,15 @@ def searched(tree, counts: dict) -> tuple:
         contexts_module.statement_holds = holds
 
 
-def census() -> dict:
+def census() -> tuple:
+    """The counts and the hex sha256 of the minimal contexts."""
     counts = dict.fromkeys(EXPECTED, 0)
+    digest = hashlib.sha256()
     for tree in enumerate_cstrees(VariableSystem((2, 2, 2, 2))):
         balanced, _ = is_balanced(tree)
         cdags = searched(tree, counts)
+        line = [(str(cd.context), cd.dag.sorted_edges()) for cd in cdags]
+        digest.update(f"{line}\n".encode())
         perfected = [ContextDag(cd.context, to_perfect(cd.dag)[0]) for cd in cdags]
         disagrees = bool(separation_disagreements(tree, perfected))
         with warnings.catch_warnings():
@@ -89,15 +98,26 @@ def census() -> dict:
         key = "balanced" if balanced else "unbalanced"
         counts[f"{key}_with_disagreements"] += disagrees
         counts[f"{key}_with_disconnected_fibers"] += not fibers.connected
-    return counts
+    return counts, digest.hexdigest()
 
 
 def main() -> int:
     start = time.perf_counter()
-    counts = census()
+    counts, contexts_sha256 = census()
     elapsed = time.perf_counter() - start
     wrong = {k: (v, EXPECTED[k]) for k, v in counts.items() if v != EXPECTED[k]}
-    print(json.dumps({"counts": counts, "seconds": round(elapsed, 2), "ok": not wrong}))
+    if contexts_sha256 != CONTEXTS_SHA256:
+        wrong["contexts_sha256"] = (contexts_sha256, CONTEXTS_SHA256)
+    print(
+        json.dumps(
+            {
+                "counts": counts,
+                "contexts_sha256": contexts_sha256,
+                "seconds": round(elapsed, 2),
+                "ok": not wrong,
+            }
+        )
+    )
     for key, (got, want) in wrong.items():
         print(f"{key}: got {got}, expected {want}", file=sys.stderr)
     return 1 if wrong else 0
