@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 from .csi import CsiStatement
 from .errors import BadIndexError
@@ -118,14 +119,33 @@ def _bicliques(adjacency, rest: int) -> list:
     return out
 
 
-def _rank_one(table: dict, rows: int, cols: int) -> bool:
-    """Whether every 2x2 minor of a table keyed (row, col) vanishes: pairs of
-    rows, then pairs of columns, each in increasing order."""
+def _rank_one(rows: list) -> bool:
+    """Whether every 2x2 minor of a table, given as its rows, vanishes."""
     return all(
-        table[r1, c1] * table[r2, c2] == table[r1, c2] * table[r2, c1]
-        for r1, r2 in itertools.combinations(range(rows), 2)
-        for c1, c2 in itertools.combinations(range(cols), 2)
+        r1[c1] * r2[c2] == r1[c2] * r2[c1]
+        for r1, r2 in itertools.combinations(rows, 2)
+        for c1, c2 in itertools.combinations(range(len(r1)), 2)
     )
+
+
+def _margins(cards: tuple, probs: dict) -> list:
+    """The outcome table summed over every subset of positions: a flat list
+    in mixed radix (c_0 + 1, ..., c_(p-1) + 1), first position most
+    significant, where digit c_i at position i means summed over i.  Built
+    one axis at a time, last first: each block of the axis's c_i slabs gets
+    their sum appended as slab c_i."""
+    flat = [probs[x] for x in itertools.product(*map(range, cards))]
+    inner = 1
+    for c in reversed(cards):
+        block = c * inner
+        out = []
+        for o in range(0, len(flat), block):
+            slabs = [flat[o + k * inner : o + (k + 1) * inner] for k in range(c)]
+            out += flat[o : o + block]
+            out += map(sum, zip(*slabs))
+        flat = out
+        inner *= c + 1
+    return flat
 
 
 def _cube(vec: tuple, s: int) -> tuple:
@@ -137,39 +157,47 @@ def _cube(vec: tuple, s: int) -> tuple:
     return tuple(cube)
 
 
+def _cross(a: int, b: int, p: int) -> int:
+    """The pair mask of the cross pairs of (A, B), bit i*p + j for i in A
+    and j in B."""
+    cross = 0
+    for i in _bits(a):
+        cross |= b << (i * p)
+    return cross
+
+
 class _Oracle:
     """Exact validity of A _||_ B | S [C] on one tree, decided pair first.
 
     A _||_ B | S [C] has exactly the minors of the marginal independences
     A _||_ B in the slices C, S = x_S, and those minors are the 2x2 minors
-    of the slice's A x B table: the outcomes agreeing with the slice, summed
-    by (x_A, x_B).  At one exact point a nonzero minor refutes the
-    statement.  In a slice, every variable pair (a, b) is screened at once:
-    one pass over the slice's outcomes sums every pair's table, and a pair
-    survives when its table has rank one.  Decomposition makes a refuted
-    pair refute every (A, B) that contains it, so only the bicliques of the
-    surviving pairs are ever decided, each once per slice.  The survivors
-    of (C, S) are kept per cube: the AND, over the values of the lowest
-    position of S, of the survivors of the cubes pinning it, so a sibling
-    context's cubes and a wider S reuse what is already screened.
+    of the slice's A x B table.  At one exact point a nonzero minor refutes
+    the statement.  In a slice, every variable pair (a, b) is screened at
+    once: it survives when its 2-way table, read off the margin cube
+    (``_margins``), has rank one.  Decomposition makes a refuted pair refute
+    every (A, B) that contains it.
 
-    A candidate is first tried on the slice's graph: the stage-line rule
-    (``_line_parents``) with edges into pinned positions kept.  In the slice
-    the outcome probability is a product of one factor per free position
-    given its parents and one per pinned position given its parents, a
-    Bayesian network whose pinned positions are observed sinks; so when A
-    and B are d-separated given the pinned positions, A _||_ B holds at
-    every parameter value and every minor vanishes identically.  The
-    separation runs on parent masks (``_separated``).  What the graph
-    cannot show (independence that is context-specific within the slice)
-    is decided symbolically (``statement_holds``).  Either way the verdict
-    on a candidate is exact.
+    A surviving pair is then tried on the slice's graph: the stage-line
+    rule (``_line_parents``) with edges into pinned positions kept.  In the
+    slice the outcome probability is a product of one factor per position
+    given its parents, a Bayesian network whose pinned positions are
+    observed sinks; so when a and b are d-separated given the pinned
+    positions (``_separated``), a _||_ b holds at every parameter value.
+    Set d-separation is the AND of pairwise d-separation, so A _||_ B is
+    proved in a slice when every cross pair is.  What the graph cannot show
+    (independence that is context-specific within the slice) is decided
+    symbolically (``statement_holds``), so every verdict is exact.
+
+    Both pair masks, the survivors and the proven pairs, are kept per cube:
+    the AND over the values of the lowest position of S of the cubes
+    pinning it, so sibling contexts and a wider S reuse them.  Most (C, S)
+    are settled by the two masks (``by_masks``); the rest try the candidates
+    (``by_candidates``).
 
     The point is ``_integer_probabilities``: ``random_point``'s outcome
-    table times one positive integer, built in integers, so each minor is
-    scaled by one positive constant and keeps its zero pattern.  Positions
-    stand for variables and masks for sets; a context is a tuple of
-    per-position values, -1 where free.
+    table times one positive integer, so each minor keeps its zero pattern.
+    Positions stand for variables and masks for sets; a context is a tuple
+    of per-position values, -1 where free.
     """
 
     def __init__(self, tree: CStreeSpec):
@@ -178,8 +206,11 @@ class _Oracle:
         self.compiled = _compile(tree)
         self.probs = _integer_probabilities(tree)
         self.p = system.p
+        self.margins = _margins(system.cards, self.probs)
+        self.strides = [math.prod(c + 1 for c in system.cards[i + 1 :]) for i in range(self.p)]
         self._pairs = {}  # cube -> mask of surviving pairs, bit i*p + j both ways
-        self._decided = {}  # (A, B, slice) -> verdict
+        self._proven = {}  # cube -> mask of the surviving pairs its slice graphs separate
+        self._decided = {}  # (A, B, slice) -> symbolic verdict
 
     def _statement(self, a: int, b: int, vec: tuple) -> CsiStatement:
         """The marginal independence A _||_ B in a slice."""
@@ -187,34 +218,55 @@ class _Oracle:
         a, b = (frozenset(names[i] for i in _bits(part)) for part in (a, b))
         return CsiStatement(a, b, (), _context(self.system, vec))
 
-    def pairs(self, cube: tuple) -> int:
-        """The pairs of free positions that survive the point in every
-        slice of a cube.  A slice is screened in one pass over its
-        outcomes, which sums every pair's 2-way table, keyed (x_i, x_j)."""
-        mask = self._pairs.get(cube)
+    def _masked(self, memo: dict, leaf, cube: tuple) -> int:
+        """A cube's pair mask kept in ``memo``: ``leaf`` of a slice, the AND
+        over the values of the lowest marked position of a cube."""
+        mask = memo.get(cube)
         if mask is None:
-            cards = self.system.cards
             if -2 in cube:
                 i = cube.index(-2)
                 mask = -1
-                for x in range(cards[i]):
-                    mask &= self.pairs(cube[:i] + (x,) + cube[i + 1 :])
+                for x in range(self.system.cards[i]):
+                    mask &= self._masked(memo, leaf, cube[:i] + (x,) + cube[i + 1 :])
             else:
-                probs, p = self.probs, self.p
-                free = [i for i, x in enumerate(cube) if x < 0]
-                pairs = list(itertools.combinations(free, 2))
-                tables = [{} for _ in pairs]
-                axes = [range(d) if x < 0 else (x,) for x, d in zip(cube, cards)]
-                for x in itertools.product(*axes):
-                    w = probs[x]
-                    for (i, j), table in zip(pairs, tables):
-                        k = x[i], x[j]
-                        table[k] = table.get(k, 0) + w
-                mask = 0
-                for (i, j), table in zip(pairs, tables):
-                    if _rank_one(table, cards[i], cards[j]):
-                        mask |= 1 << (i * p + j) | 1 << (j * p + i)
-            self._pairs[cube] = mask
+                mask = leaf(cube)
+            memo[cube] = mask
+        return mask
+
+    def pairs(self, cube: tuple) -> int:
+        """The pairs of free positions that survive the point in every
+        slice of a cube."""
+        return self._masked(self._pairs, self._screen, cube)
+
+    def proven(self, cube: tuple) -> int:
+        """The surviving pairs that every slice graph of a cube
+        d-separates."""
+        return self._masked(self._proven, self._prove, cube)
+
+    def _screen(self, vec: tuple) -> int:
+        """The pairs of a slice whose 2-way table has rank one, each table
+        read off the margin cube: the slice's pins as digits, every other
+        free position summed."""
+        cards, strides, margins, p = self.system.cards, self.strides, self.margins, self.p
+        free = [i for i, x in enumerate(vec) if x < 0]
+        base = sum((c if x < 0 else x) * st for x, c, st in zip(vec, cards, strides))
+        mask = 0
+        for i, j in itertools.combinations(free, 2):
+            si, sj, cj = strides[i], strides[j], cards[j]
+            start = base - cards[i] * si - cj * sj
+            rows = [margins[r : r + cj * sj : sj] for r in range(start, start + cards[i] * si, si)]
+            if _rank_one(rows):
+                mask |= 1 << (i * p + j) | 1 << (j * p + i)
+        return mask
+
+    def _prove(self, vec: tuple) -> int:
+        """The surviving pairs of a slice that its graph d-separates."""
+        p = self.p
+        mask = 0
+        for k in _bits(self.pairs(vec)):
+            i, j = divmod(k, p)
+            if i < j and self._separated(1 << i, 1 << j, vec):
+                mask |= 1 << k | 1 << (j * p + i)
         return mask
 
     def slices(self, vec: tuple, s: int) -> list:
@@ -267,56 +319,89 @@ class _Oracle:
         return not reached & b
 
     def _independent(self, a: int, b: int, vec: tuple) -> bool:
-        """A _||_ B in one slice, every cross pair having survived there."""
+        """A _||_ B in one slice, every cross pair having survived there:
+        proved when every cross pair is proven, else decided symbolically."""
+        if not _cross(a, b, self.p) & ~self.proven(vec):
+            return True
         key = (a, b, vec)
         verdict = self._decided.get(key)
         if verdict is None:
-            verdict = self._separated(a, b, vec) or statement_holds(
-                self.tree, self._statement(a, b, vec)
-            )
+            verdict = statement_holds(self.tree, self._statement(a, b, vec))
             self._decided[key] = verdict
         return verdict
 
     def holds(self, a: int, b: int, s: int, vec: tuple) -> bool:
         """A _||_ B | S in the context: the AND over its slices."""
-        p = self.p
-        cross = 0
-        for i in _bits(a):
-            cross |= b << (i * p)
-        return not cross & ~self.pairs(_cube(vec, s)) and all(
+        return not _cross(a, b, self.p) & ~self.pairs(_cube(vec, s)) and all(
             self._independent(a, b, v) for v in self.slices(vec, s)
         )
 
-    def tied(self, vec: tuple) -> bool:
-        """Whether some statement valid in the context stays tied to it:
-        un-pinning any one context variable into S breaks it.
+    def by_masks(self, vec: tuple, s: int, rest: int, pinned: list):
+        """Whether some statement of (C, S) within ``rest`` stays tied to C,
+        read off the pair masks alone, or None when they cannot tell.
+
+        Let g be the pairs within ``rest`` that survive every slice of
+        (C, S): every candidate's cross pairs lie in g.  If some pinned i
+        has all of g proven in the wider cube (C - i, S + i), every
+        candidate holds there, d-separation composing over its cross pairs,
+        so i absorbs it: nothing is tied (False).  A pair proven in (C, S)
+        yet refuted in every wider cube is a valid statement that no
+        variable absorbs (True)."""
+        p = self.p
+        within = 0
+        for i in _bits(rest):
+            within |= rest << (i * p)
+        cube = _cube(vec, s)
+        g = self.pairs(cube) & within
+        if not g:
+            return False
+        wider = [cube[:i] + (-2,) + cube[i + 1 :] for i in pinned]
+        if any(not g & ~self.proven(w) for w in wider):
+            return False
+        tied = self.proven(cube) & within
+        for w in wider:
+            tied &= ~self.pairs(w)
+        return True if tied else None
+
+    def by_candidates(self, vec: tuple, s: int, rest: int, pinned: list) -> bool:
+        """Whether some statement of (C, S) within ``rest`` stays tied to C,
+        candidate by candidate.
 
         A statement absorbed by a variable has every sub-statement absorbed
         by it, so a candidate inside one already found absorbed is skipped,
         and the largest are tried first.  The slices of (C, S) are listed
-        only once a candidate must be decided on them.
-        """
+        only once a candidate must be decided on them."""
+        absorbed = []
+        slices = None
+        for a, b in self.candidates(_cube(vec, s), rest):
+            if any(_inside(a, b, a0, b0) for a0, b0 in absorbed):
+                continue
+            if slices is None:
+                slices = self.slices(vec, s)
+            if not all(self._independent(a, b, v) for v in slices):
+                continue
+            if not any(
+                self.holds(a, b, s | 1 << i, vec[:i] + (-1,) + vec[i + 1 :]) for i in pinned
+            ):
+                return True
+            absorbed.append((a, b))
+        return False
+
+    def tied(self, vec: tuple) -> bool:
+        """Whether some statement valid in the context stays tied to it:
+        un-pinning any one context variable into S breaks it.  Each S is
+        settled by the pair masks where they tell, else by the candidates."""
         free = sum(1 << i for i, x in enumerate(vec) if x < 0)
         pinned = [i for i, x in enumerate(vec) if x >= 0]
         s = free
         while True:
             rest = free & ~s
             if rest.bit_count() >= 2:
-                absorbed = []
-                slices = None
-                for a, b in self.candidates(_cube(vec, s), rest):
-                    if any(_inside(a, b, a0, b0) for a0, b0 in absorbed):
-                        continue
-                    if slices is None:
-                        slices = self.slices(vec, s)
-                    if not all(self._independent(a, b, v) for v in slices):
-                        continue
-                    if not any(
-                        self.holds(a, b, s | 1 << i, vec[:i] + (-1,) + vec[i + 1 :])
-                        for i in pinned
-                    ):
-                        return True
-                    absorbed.append((a, b))
+                verdict = self.by_masks(vec, s, rest, pinned)
+                if verdict is None:
+                    verdict = self.by_candidates(vec, s, rest, pinned)
+                if verdict:
+                    return True
             if not s:
                 return False
             s = (s - 1) & free
@@ -332,10 +417,14 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     so it is enough to try each pinned variable alone: a T that absorbs
     makes each of its variables absorb.  The empty context always leads the
     list (a complete graph when no global statement holds).  Validity is
-    decided by the semantic oracle, which tries only the statements whose
-    variable pairs all survive its point screens (kept per (context, S)
-    cube), and proves each by d-separation on its slices' graphs, as
-    bitmasks, before it expands any minor; the graphs come from
+    decided by the semantic oracle, which keeps two pair masks per
+    (context, S) cube: the pairs that survive its point screens and those
+    its slices' graphs d-separate.  Most (context, S) are settled by the
+    masks alone: S is skipped when some pinned variable proves every
+    surviving pair in the wider cube, and the context is kept when a pair
+    proven here is refuted in every wider cube.  Only the rest try the
+    statements whose variable pairs all survive, each proved by
+    d-separation before any minor is expanded; the graphs come from
     ``context_dag``.  Contexts leaving one variable free are never visited:
     they hold no pair to tie, and they come last in the order.
     The search runs once per compiled tree, which keeps its result, so the

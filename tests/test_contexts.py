@@ -329,6 +329,26 @@ def test_integer_screens_match_the_reference_screen():
             assert oracle.pairs(sl) == mask, sl
 
 
+def test_margin_cube_sums_the_outcomes_of_each_pattern():
+    # Digit c_i at position i means summed over i; any other digit pins it.
+    trees = [load(name) for name in GRAPH_FIXTURES]
+    rng = random.Random(47)
+    for cards in ((3, 2, 2, 3), (4, 2, 3)):
+        trees += [random_cstree(VariableSystem(cards), rng) for _ in range(3)]
+    for tree in trees:
+        oracle = contexts_module._Oracle(tree)
+        cards = tree.system.cards
+        patterns = list(itertools.product(*(range(c + 1) for c in cards)))
+        assert len(oracle.margins) == len(patterns)
+        for entry, pattern in zip(oracle.margins, patterns):
+            expected = sum(
+                w
+                for x, w in oracle.probs.items()
+                if all(v in (c, xi) for v, c, xi in zip(pattern, cards, x))
+            )
+            assert entry == expected, pattern
+
+
 def test_cubes_screen_the_and_of_their_slices():
     # A cube's survivors are built from its sub-cubes, one marked position
     # at a time; a fresh oracle screens each slice on its own.
@@ -405,6 +425,46 @@ def test_mask_separation_equals_d_separated():
                 separated = oracle._separated(a, b, vec)
                 assert separated == d_separated(dag, bits(a), bits(b), pinned), (vec, a, b)
                 outcomes.add(separated)
+    assert outcomes == {True, False}
+
+
+def _cubes(system):
+    """Every cube: each position marked (-2), free (-1) or pinned."""
+    return itertools.product(*(range(-2, d) for d in system.cards))
+
+
+def test_proven_masks_are_pairwise_d_separation():
+    # A slice proves a pair when the reference graph d-separates it; set
+    # d-separation is the AND over the cross pairs, and a cube proves the
+    # pairs that all of its slices prove.
+    bits, cross = contexts_module._bits, contexts_module._cross
+    outcomes = set()
+    for tree in _line_rule_trees():
+        oracle = contexts_module._Oracle(tree)
+        system, p = tree.system, tree.system.p
+        reference = {}
+        for vec in _slice_vectors(system):
+            free = [i for i, x in enumerate(vec) if x < 0]
+            dag = Dag.of(range(p), _line_edges(oracle.compiled, vec, range(p)))
+            pinned = [i for i, x in enumerate(vec) if x >= 0]
+            reference[vec] = sum(
+                1 << (i * p + j) | 1 << (j * p + i)
+                for i, j in itertools.combinations(free, 2)
+                if d_separated(dag, [i], [j], pinned)
+            )
+            if len(free) < 2:
+                continue
+            for a, b in _canonical_pairs(free):
+                separated = oracle._separated(a, b, vec)
+                assert separated == (not cross(a, b, p) & ~oracle.proven(vec)), (vec, a, b)
+                outcomes.add(separated)
+        for cube in _cubes(system):
+            marked = sum(1 << i for i, x in enumerate(cube) if x == -2)
+            vec = tuple(-1 if x == -2 else x for x in cube)
+            expected = -1
+            for sl in oracle.slices(vec, marked):
+                expected &= reference[sl]
+            assert oracle.proven(cube) == expected, cube
     assert outcomes == {True, False}
 
 
@@ -490,11 +550,74 @@ def test_symbolic_fallback_decides_what_the_slice_graph_cannot_show():
         assert oracle._independent(0b1, 0b10, vec)
 
 
+# A five-variable binary staging in which X1 _||_ X5 holds in the context
+# X3 = 0 and given X3, yet no slice graph shows it.  With the context
+# X3 = 0 and S empty, (X1, X2) is proven both there and with X3 released,
+# while (X1, X5) survives unproven: neither mask rule applies, and the
+# candidate loop finds X1 _||_ {X2, X5} released by X3.  Accepting any
+# proven pair, without asking that the wider cubes refute it, would keep
+# the context.
+RELEASED_BY_X3 = {
+    "p": 5,
+    "cards": [2, 2, 2, 2, 2],
+    "levels": [
+        {"level": 2, "stages": [{"context": {}}]},
+        {"level": 3, "stages": [{"context": {}}]},
+        {
+            "level": 4,
+            "stages": [
+                {"context": {"1": 0, "2": 0}},
+                {"context": {"1": 1, "2": 0}},
+                {"context": {"2": 1}},
+            ],
+        },
+        {
+            "level": 5,
+            "stages": [
+                {"context": {"2": 0}},
+                {"context": {"2": 1, "3": 0, "4": 0}},
+                {"context": {"2": 1, "3": 1, "4": 0}},
+                {"context": {"2": 1, "4": 1}},
+            ],
+        },
+    ],
+}
+
+
+def test_mask_rules_agree_with_the_candidate_loop():
+    # Where the pair masks settle a (C, S), the candidate loop of a fresh
+    # oracle gives the same verdict: a prune leaves no valid unabsorbed
+    # candidate, an accept has one.
+    verdicts = set()
+    extra = [spec_from_json(CENSUS_361), spec_from_json(RELEASED_BY_X3)]
+    for tree in _decomposition_trees() + extra:
+        oracle = contexts_module._Oracle(tree)
+        loop = contexts_module._Oracle(tree)
+        for vec in contexts_module._context_vectors(tree.system):
+            free = sum(1 << i for i, x in enumerate(vec) if x < 0)
+            pinned = [i for i, x in enumerate(vec) if x >= 0]
+            s = free
+            while True:
+                rest = free & ~s
+                if rest.bit_count() >= 2:
+                    verdict = oracle.by_masks(vec, s, rest, pinned)
+                    if verdict is not None:
+                        assert verdict == loop.by_candidates(vec, s, rest, pinned), (vec, s)
+                    verdicts.add(verdict)
+                if not s:
+                    break
+                s = (s - 1) & free
+    assert verdicts == {True, False, None}
+
+
 def test_search_without_slice_certificates_is_unchanged(monkeypatch):
     # The graph proof only saves symbolic checks: with every certificate
-    # withheld, the search keeps the same contexts and graphs.  The random
-    # draws are pinned to the symbolic search's output in test_golden.py.
-    trees = [load(name) for name in GRAPH_FIXTURES] + [spec_from_json(CENSUS_361)]
+    # withheld, no pair is proven, so the pair masks settle no (C, S) with
+    # a surviving pair and every such visit runs the candidate loop; the
+    # search keeps the same contexts and graphs.  The random draws are
+    # pinned to the symbolic search's output in test_golden.py.
+    trees = [load(name) for name in GRAPH_FIXTURES]
+    trees += [spec_from_json(CENSUS_361), spec_from_json(RELEASED_BY_X3)]
     expected = [minimal_contexts(tree) for tree in trees]
     monkeypatch.setattr(contexts_module._Oracle, "_separated", lambda *args: False)
     assert [contexts_module._minimal_contexts(tree) for tree in trees] == expected

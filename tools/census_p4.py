@@ -12,7 +12,9 @@ balanced tree connects its fibers, while on unbalanced trees the audit and
 the fiber sweep can fail.  The census also counts the statements the
 minimal-context search expands symbolically (``statement_holds`` calls made
 inside ``minimal_contexts``; the audit's are not counted): every other
-true statement the search meets is proved on a slice graph.  The counts
+true statement the search meets is proved on a slice graph.  It counts
+too the (context, S) visits that the search's pair masks cannot settle
+and that reach its candidate loop (``_Oracle.by_candidates``).  The counts
 alone let a search change move contexts unseen, so the census also pins
 a sha256 over every tree's minimal contexts: one line per tree, in
 enumeration order, of each context's string and its graph's sorted edges.
@@ -57,24 +59,32 @@ EXPECTED = {
     "balanced_with_disconnected_fibers": 0,
     "unbalanced_with_disconnected_fibers": 84,
     "search_symbolic_checks": 8,
+    "search_candidate_loops": 8,
 }
 CONTEXTS_SHA256 = "06cccf6fdda557bbe669321223d7c5b0459c0c1e6161f8278fe14660786407d0"
 
 
 def searched(tree, counts: dict) -> tuple:
     """``minimal_contexts(tree)``, counting the ``statement_holds`` calls
-    the search makes."""
+    and the candidate loops the search makes."""
     holds = contexts_module.statement_holds
+    loop = contexts_module._Oracle.by_candidates
 
     def counted(*args):
         counts["search_symbolic_checks"] += 1
         return holds(*args)
 
+    def counted_loop(*args):
+        counts["search_candidate_loops"] += 1
+        return loop(*args)
+
     contexts_module.statement_holds = counted
+    contexts_module._Oracle.by_candidates = counted_loop
     try:
         return minimal_contexts(tree)
     finally:
         contexts_module.statement_holds = holds
+        contexts_module._Oracle.by_candidates = loop
 
 
 def census() -> tuple:
