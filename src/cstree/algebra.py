@@ -7,9 +7,10 @@ into integer form: label ids in ``tree_labels`` order, each outcome's
 path-label ids, and polynomials as ``dict[int, int]`` keyed by packed
 monomials, one ``_WIDTH``-bit exponent field per label id (label i's
 exponent sits at bit ``_WIDTH * i``), so a product of monomials is the sum
-of their keys.  The compiled form carries two derived tables, and a slot
-for the tree's minimal contexts that ``contexts.minimal_contexts`` fills
-on its first search:
+of their keys.  The compiled form carries each outcome's packed path
+monomial (``keys``), two derived tables, and two slots it fills once: the
+tree's minimal contexts, which ``contexts.minimal_contexts`` fills on its
+first search, and the default ``is_balanced`` verdict.  The tables:
 
 - the interpolants, per vertex the sum of its below-path label products,
   in the plain label ring (balance);
@@ -17,13 +18,20 @@ on its first search:
   stage's last label replaced by one minus the stage's other labels, the
   sum-to-one relations taken into account (vanishing).
 
-Both tables are multilinear, so the product of two of their polynomials
-has exponents of at most 2, which a field holds.  ``vanishes`` maps a
-polynomial in outcome coordinates to Σ c·Π E(x) and checks it expands to
-zero; a product of d images has exponents up to d, so it widens the fields
-to fit the polynomial's degree when the tables' width is too narrow.
-``statement_holds`` checks each 2x2 minor in factored form,
-M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the same ring
+E sends every label to a linear form, the label itself or one minus its
+stage's other labels; these are irreducible and pairwise non-associate, so
+by unique factorization E(m1) = c·E(m2) only when the label monomials m1
+and m2 are equal.  A binomial p_u1·p_u2 - p_v1·p_v2 thus vanishes on the
+model exactly when key(u1) + key(u2) == key(v1) + key(v2), the move test
+of the fiber sweep.  ``vanishes`` collapses a polynomial's terms by path
+monomial first and decides zero, one or two survivors at once; only three
+or more are mapped to Σ c·Π E(x) and expanded.  Both tables are
+multilinear, so the product of two of their polynomials has exponents of
+at most 2, which a field holds; a product of d images has exponents up to
+d, so ``vanishes`` widens the fields to fit the polynomial's degree when
+the tables' width is too narrow.  ``statement_holds`` decides a saturated
+statement, whose minors are binomials, on keys, and any other in factored
+form, M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the same ring
 homomorphism applied before the product instead of after, so the verdict
 stays exact and symbolic.  ``statement_zero_at`` evaluates the minors at
 one point instead: the reference screen.  The minimal-context search
@@ -50,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .csi import CsiStatement
+from .csi import CsiStatement, is_saturated
 from .errors import (
     BadIndexError,
     BoundTooLargeError,
@@ -147,6 +155,16 @@ class _Compiled:
         self.paths = paths
         # Filled by contexts.minimal_contexts, which this module cannot import.
         self.minimal_contexts = None
+        # Filled by the first default is_balanced call.
+        self.balance = None
+
+    @cached_property
+    def keys(self) -> dict:
+        """outcome -> its packed path monomial, the key of the label product
+        along its path: each label at most once."""
+        return {
+            x: sum(1 << _WIDTH * i for i in ids) for x, ids in self.paths.items()
+        }
 
     @cached_property
     def stages(self) -> list:
@@ -336,10 +354,20 @@ def is_balanced(tree: CStreeSpec, audit_all_pairs=False):
     checked against a fixed representative, which suffices because the
     interpolants have positive coefficients and equality is transitive
     through the representative; ``audit_all_pairs`` checks every pair
-    anyway.
+    anyway.  The default verdict is kept on the compiled tree; an audit
+    runs in full on every call.
     """
     compiled = _compile(tree)
-    tables, cards = compiled.interpolants, tree.system.cards
+    if not audit_all_pairs:
+        if compiled.balance is None:
+            compiled.balance = _balance(compiled, False)
+        return compiled.balance
+    return _balance(compiled, True)
+
+
+def _balance(compiled: _Compiled, audit_all_pairs: bool) -> tuple:
+    """``is_balanced``'s check, run afresh."""
+    tables, cards = compiled.interpolants, compiled.system.cards
     for k, stages in enumerate(compiled.stages):
         for i, members in stages.items():
             if audit_all_pairs:
@@ -365,7 +393,9 @@ def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
     variables: ``marginal(support)`` gives its value from its outcomes in
     lex order and runs at most once per cell.  A variable or context value
     outside the system raises BadIndexError."""
-    context = system.pinned(statement.context)
+    template = [range(d) for d in system.cards]
+    for i, x in system.pinned(statement.context).items():
+        template[i] = (x,)
     blocks = [tuple(sorted(part)) for part in (statement.a, statement.b, statement.s)]
     ra, rb, rs = (
         tuple(itertools.product(*(range(system.card(v)) for v in block)))
@@ -376,13 +406,10 @@ def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
 
     def cell(*values):
         if values not in cells:
-            pinned = dict(context)
+            axes = template.copy()
             for place, vals in zip(places, values):
-                pinned.update(zip(place, vals))
-            axes = [
-                (pinned[i],) if i in pinned else range(d)
-                for i, d in enumerate(system.cards)
-            ]
+                for i, x in zip(place, vals):
+                    axes[i] = (x,)
             cells[values] = marginal(tuple(itertools.product(*axes)))
         return cells[values]
 
@@ -417,18 +444,36 @@ def vanishes(tree: CStreeSpec, poly: SparsePoly) -> bool:
     """Whether a polynomial in outcome coordinates dies on the model.
 
     Each coordinate p_x maps to its eliminated image E(x), the path label
-    product with the sum-to-one relations applied, and the result must
-    expand to the zero polynomial.  A term of degree d has label exponents
-    up to d, so the fields are at least d's bit length wide.  Exact, no
-    sampling involved.
+    product with each stage's last label replaced by one minus the stage's
+    other labels.  Those replacements are linear forms, irreducible and
+    pairwise non-associate, and so are the labels kept, so by unique
+    factorization E(m1) = c·E(m2) only when m1 and m2 carry the same path
+    monomial.  The terms are therefore first collapsed by path monomial
+    (their packed keys summed, fields wide enough for the degree): none
+    left means zero, and one or two left can never cancel, which decides
+    every binomial the way the fiber sweep's move test does.  Three or more
+    are expanded to the zero polynomial; a term of degree d has label
+    exponents up to d, so the fields are at least d's bit length wide.
+    Exact, no sampling involved.
     """
-    images = _compile(tree).images
+    compiled = _compile(tree)
     width = poly.degree.bit_length()
+    keys = compiled.keys
     if width > _WIDTH:
-        images = {
-            x: {_widen(m, width): c for m, c in images[x].items()}
+        keys = {
+            x: _widen(keys[x], width)
             for x in {tuple(x) for mono in poly.terms for x in mono.variables()}
         }
+    sums = {}
+    for mono, coef in poly.terms.items():
+        key = sum(keys[tuple(x)] * e for x, e in mono.powers)
+        sums[key] = sums.get(key, 0) + coef
+    left = sum(1 for c in sums.values() if c)
+    if left < 3:
+        return not left
+    images = compiled.images
+    if width > _WIDTH:
+        images = {x: {_widen(m, width): c for m, c in images[x].items()} for x in keys}
     acc = {}
     for mono, coef in poly.terms.items():
         term = {0: coef}
@@ -442,10 +487,24 @@ def vanishes(tree: CStreeSpec, poly: SparsePoly) -> bool:
 
 def statement_holds(tree: CStreeSpec, statement: CsiStatement) -> bool:
     """Semantic ground truth: every minor of the statement vanishes on the
-    model, checked in factored form M(S1)·M(S2) == M(S3)·M(S4) on the
-    eliminated images.  Exact but slower than a point refutation; see
-    ``statement_zero_at`` for the fast negative check."""
+    model.  A saturated statement pins every variable in each cell, so its
+    minors are binomials p_u1·p_u2 - p_v1·p_v2, and one vanishes exactly
+    when the path monomials agree, key(u1) + key(u2) == key(v1) + key(v2):
+    the eliminated images are products of irreducible, pairwise
+    non-associate linear forms (see ``vanishes``), and this is the fiber
+    sweep's move test.  Other statements are checked in factored form
+    M(S1)·M(S2) == M(S3)·M(S4) on the eliminated images.  Exact but slower
+    than a point refutation; see ``statement_zero_at`` for the fast
+    negative check."""
     compiled = _compile(tree)
+    if is_saturated(statement, tree.system):
+        keys = compiled.keys
+        return all(
+            k1 + k2 == k3 + k4
+            for k1, k2, k3, k4 in _minor_cells(
+                statement, tree.system, lambda support: keys[support[0]]
+            )
+        )
     return all(
         _cross_equal(*cells)
         for cells in _minor_cells(statement, tree.system, compiled.marginal)
@@ -635,34 +694,33 @@ def fibers_connected(
     Tables and marginals are packed with one ``bound.bit_length()``-bit
     field per outcome or label, which no count up to the bound overflows,
     so packing is injective and int order is tuple-lex order; only the
-    witness is unpacked.  The fibers of two or more tables are numbered in
-    marginal order, their tables in lex order.  A move, its two sides'
-    common outcomes cancelled, takes one multiset and gives another, the
-    larger of size s.  Within the bound it applies exactly to the tables
-    r + take with r any table of total at most ``bound`` - s.  Marginals
-    add, so when the signed sum of its outcomes' packed columns is zero
-    the two sides share a marginal and r + take and r + give, each one
-    addition, are two tables of one fiber; otherwise the move leaves every
-    fiber and joins nothing.
+    witness is unpacked.  A move, its two sides' common outcomes
+    cancelled, takes one multiset and gives another, the larger of size s.
+    Within the bound it applies exactly to the tables r + take with r any
+    table of total at most ``bound`` - s.  Marginals add, so when the
+    signed sum of its outcomes' packed columns is zero the two sides share
+    a marginal and r + take and r + give, each one addition, are two
+    tables of one fiber; otherwise the move leaves every fiber and joins
+    nothing.  One union-find runs over every table.  Since no join leaves
+    a fiber, every fiber is connected exactly when the components are as
+    many as the distinct marginals; only otherwise are the tables grouped
+    by marginal, and the witness is the first split fiber in marginal
+    order, its tables walked in lex order.
     """
     _check_fiber_bound(matrix, bound, table_budget)
     width, n = bound.bit_length(), len(matrix.outcomes)
     units = _fields(width, n)
     rows = _fields(width, len(matrix.labels))
     columns = [sum(rows[r] for r in col) for col in matrix.columns]
-    fibers = {}
-    by_total = []
+    marginals, tables, by_total = [], [], []
     for total in range(bound + 1):
-        tables = []
+        start = len(tables)
         for marginal, table in _tables(total, units, columns):
-            fibers.setdefault(marginal, []).append(table)
+            marginals.append(marginal)
             tables.append(table)
-        by_total.append(tables)
-    shared = sorted(item for item in fibers.items() if len(item[1]) > 1)
-    ids = {}
-    for _, tables in shared:
-        tables.sort()
-        ids.update(zip(tables, range(len(ids), len(ids) + len(tables))))
+        by_total.append(tables[start:])
+    ids = dict(zip(tables, range(len(tables))))
+    fiber_count = len(set(marginals))
     unit = dict(zip(matrix.outcomes, units))
     column = dict(zip(matrix.outcomes, columns))
     # Each move once for both directions: (size, take, give), take < give.
@@ -681,7 +739,7 @@ def fibers_connected(
             give = sum(unit[x] * d for x, d in vec.items() if d > 0)
             take = sum(unit[x] * -d for x, d in vec.items() if d < 0)
             joins.add((size, min(take, give), max(take, give)))
-    parent = list(range(len(ids)))
+    parent = list(range(len(tables)))
 
     def find(i):
         while parent[i] != i:
@@ -693,19 +751,20 @@ def fibers_connected(
         for total in range(bound - size + 1):
             for r in by_total[total]:
                 parent[find(ids[r + take])] = find(ids[r + give])
-    table_count = sum(map(len, by_total))
-    first = 0
-    for marginal, tables in shared:
-        roots = {}
-        for i, t in enumerate(tables, first):
-            roots.setdefault(find(i), t)
-        if len(roots) > 1:
-            t1, t2 = list(roots.values())[:2]
-            witness = (
-                _unpack(marginal, width, len(matrix.labels)),
-                _unpack(t1, width, n),
-                _unpack(t2, width, n),
-            )
-            return FiberReport(False, bound, table_count, len(fibers), witness)
-        first += len(tables)
-    return FiberReport(True, bound, table_count, len(fibers), None)
+    if sum(map(int.__eq__, parent, range(len(parent)))) > fiber_count:
+        fibers = {}
+        for marginal, table in zip(marginals, tables):
+            fibers.setdefault(marginal, []).append(table)
+        for marginal, members in sorted(fibers.items()):
+            roots = {}
+            for t in sorted(members):
+                roots.setdefault(find(ids[t]), t)
+            if len(roots) > 1:
+                t1, t2 = list(roots.values())[:2]
+                witness = (
+                    _unpack(marginal, width, len(matrix.labels)),
+                    _unpack(t1, width, n),
+                    _unpack(t2, width, n),
+                )
+                return FiberReport(False, bound, len(tables), fiber_count, witness)
+    return FiberReport(True, bound, len(tables), fiber_count, None)

@@ -84,11 +84,15 @@ def statement_binomials(
         raise PreconditionError(f"statement {statement} is not saturated")
     out = []
     # Saturated: every variable is pinned, so each cell is one outcome.
+    # Each pair is ordered here, as canonical_binomial would.
     cells = _minor_cells(statement, system, lambda support: support)
     for (u1,), (u2,), (v1,), (v2,) in cells:
-        binomial = canonical_binomial((u1, u2), (v1, v2), source, statement.context)
-        if binomial:
-            out.append(binomial)
+        plus = (u1, u2) if u1 <= u2 else (u2, u1)
+        minus = (v1, v2) if v1 <= v2 else (v2, v1)
+        if plus != minus:
+            if minus < plus:
+                plus, minus = minus, plus
+            out.append(SaturatedBinomial(plus, minus, source, statement.context))
     return tuple(out)
 
 

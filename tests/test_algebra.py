@@ -437,6 +437,95 @@ def test_vanishing_agrees_with_the_reference_at_high_degree():
     assert verdicts == {True, False}
 
 
+# The binomial criterion against the expansion: two path monomials that
+# differ never cancel, and equal ones always do.  The ``_Reference``
+# expansion decides each case on its own.
+def test_binomials_agree_with_the_expansion_on_the_fixtures_bases():
+    verdicts = set()
+    for name in TREE_FIXTURES:
+        tree = load(name)
+        reference = _Reference(tree)
+        for route in (markov_basis_saturated, quad_lift_basis, perfect_context_basis):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    basis = route(tree)
+            except UnbalancedError:
+                continue
+            for binomial in basis:
+                poly = binomial.to_poly()
+                expected = reference.vanishes(poly)
+                assert vanishes(tree, poly) == expected, (name, binomial)
+                verdicts.add(expected)
+    # Every basis binomial of the fixtures lies in the ideal, fig1's too.
+    assert verdicts == {True}
+
+
+def test_binomials_agree_with_the_expansion_on_three_label_stages():
+    # Half the quadruples swap the tails of two outcomes, which often
+    # vanishes; the other half are drawn freely, which rarely does.
+    rng = random.Random(1515)
+    verdicts = set()
+    for cards in ((3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3), (2, 3, 2, 2)):
+        for _ in range(3):
+            tree = random_cstree(VariableSystem(cards), rng)
+            reference = _Reference(tree)
+            outcomes = list(tree.system.outcomes())
+            for _ in range(40):
+                u1, u2 = rng.sample(outcomes, 2)
+                if rng.random() < 0.5:
+                    k = rng.randrange(1, len(cards))
+                    v1, v2 = u1[:k] + u2[k:], u2[:k] + u1[k:]
+                else:
+                    v1, v2 = rng.choice(outcomes), rng.choice(outcomes)
+                x = {o: SparsePoly.variable(o) for o in (u1, u2, v1, v2)}
+                poly = x[u1] * x[u2] - x[v1] * x[v2]
+                expected = reference.vanishes(poly)
+                assert vanishes(tree, poly) == expected, (cards, poly)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_few_path_monomials_decide_without_expansion():
+    # p0 + p1 - 1 has three path monomials (the constant's is empty) and is
+    # left to the expansion; p0 + p1 has two, which never cancel.  On the
+    # card-3 variable, p0^4 and p1 share a key in two-bit fields.
+    binary = CStreeSpec(VariableSystem((2,)), ((),))
+    p0, p1 = (SparsePoly.variable((x,)) for x in (0, 1))
+    ternary = CStreeSpec(VariableSystem((3,)), ((),))
+    cases = [
+        (binary, p0 + p1 - SparsePoly.constant(1), True),
+        (binary, p0 + p1, False),
+        (binary, p0 - p0, True),
+        (ternary, p0**4 - p1, False),
+        (ternary, p0**4 * p1 - p1 * p0**4, True),
+        (ternary, p0**2 * p1**3 - p1**2 * p0**3, False),
+    ]
+    for tree, poly, expected in cases:
+        assert _Reference(tree).vanishes(poly) == expected, poly
+        assert vanishes(tree, poly) == expected, poly
+
+
+def test_the_default_balance_verdict_is_kept(monkeypatch):
+    calls = []
+    failing = algebra._failing_outcomes
+
+    def counted(*args):
+        calls.append(args)
+        return failing(*args)
+
+    for name in ("fig1.json", "fig5_tree.json"):
+        tree = load(name)
+        first = is_balanced(tree)
+        monkeypatch.setattr(algebra, "_failing_outcomes", counted)
+        assert is_balanced(tree) == first
+        assert calls == []
+        assert is_balanced(tree, audit_all_pairs=True)[0] == first[0]
+        assert calls
+        calls.clear()
+        monkeypatch.setattr(algebra, "_failing_outcomes", failing)
+
+
 BALANCED = (
     "fig3.json",
     "fig4.json",

@@ -9,7 +9,12 @@ The counts are the paper's structure theorems on p = 4: every tree whose
 minimal-context graphs are all perfect is balanced, directed moralization
 keeps every independence of a balanced tree, and the saturated basis of a
 balanced tree connects its fibers, while on unbalanced trees the audit and
-the fiber sweep can fail.  The census also counts the statements the
+the fiber sweep can fail.  Each saturated binomial is also decided with
+``vanishes``: the trees whose saturated basis holds a binomial that does
+not vanish are exactly the trees the audit flags (their symmetric
+difference is counted), and on balanced trees the saturated, quad-lift
+(``quad_lift_basis``) and perfected (``perfect_context_basis``) bases are
+one set of binomials, none of the quad-lift ones failing to vanish.  The census also counts the statements the
 minimal-context search expands symbolically (``statement_holds`` calls made
 inside ``minimal_contexts``; the audit's are not counted): every other
 true statement the search meets is proved on a slice graph.  It counts
@@ -46,8 +51,11 @@ from cstree import (  # noqa: E402
     is_perfect,
     markov_basis_saturated,
     minimal_contexts,
+    perfect_context_basis,
+    quad_lift_basis,
     separation_disagreements,
     to_perfect,
+    vanishes,
 )
 
 EXPECTED = {
@@ -58,6 +66,10 @@ EXPECTED = {
     "unbalanced_with_disagreements": 220,
     "balanced_with_disconnected_fibers": 0,
     "unbalanced_with_disconnected_fibers": 84,
+    "saturated_with_nonvanishing": 220,
+    "nonvanishing_apart_from_audit": 0,
+    "balanced_with_equal_bases": 357,
+    "balanced_nonvanishing_quad_lift": 0,
     "search_symbolic_checks": 8,
     "search_candidate_loops": 8,
 }
@@ -102,12 +114,25 @@ def census() -> tuple:
             warnings.simplefilter("ignore", UnbalancedWarning)
             basis = markov_basis_saturated(tree)
         fibers = fibers_connected(exponent_matrix(tree), basis, bound=2)
+        nonvanishing = not all(vanishes(tree, b.to_poly()) for b in basis)
+        if balanced:
+            quad = quad_lift_basis(tree)
+            keys = {b.key() for b in basis}
+            counts["balanced_with_equal_bases"] += (
+                keys == {b.key() for b in quad}
+                and keys == {b.key() for b in perfect_context_basis(tree)}
+            )
+            counts["balanced_nonvanishing_quad_lift"] += sum(
+                not vanishes(tree, b.to_poly()) for b in quad
+            )
         counts["trees"] += 1
         counts["balanced"] += balanced
         counts["all_graphs_perfect"] += all(is_perfect(cd.dag) for cd in cdags)
         key = "balanced" if balanced else "unbalanced"
         counts[f"{key}_with_disagreements"] += disagrees
         counts[f"{key}_with_disconnected_fibers"] += not fibers.connected
+        counts["saturated_with_nonvanishing"] += nonvanishing
+        counts["nonvanishing_apart_from_audit"] += nonvanishing != disagrees
     return counts, digest.hexdigest()
 
 
