@@ -72,28 +72,21 @@ def canonical_binomial(plus, minus, source="sat", context=None):
     return SaturatedBinomial(plus, minus, source, context)
 
 
-def statement_binomials(
-    statement: CsiStatement, system: VariableSystem, source="sat"
-) -> tuple:
-    """The minors of a saturated statement, which are pure binomials.
-
-    Degenerate minors (both pairs equal) are skipped.  Non-saturated
-    statements are refused: their minors are not binomial.
+def statement_binomials(statement: CsiStatement, system: VariableSystem) -> tuple:
+    """The minors of a saturated statement, which are pure binomials, one
+    per minor.  Non-saturated statements are refused: their minors are not
+    binomial.
     """
     if not is_saturated(statement, system):
         raise PreconditionError(f"statement {statement} is not saturated")
-    out = []
     # Saturated: every variable is pinned, so each cell is one outcome.
-    # Each pair is ordered here, as canonical_binomial would.
+    # x_A < y_A and x_B < y_B put S1 below S2, S3 and S4 in lex order, so
+    # (S1, S2) is sorted and carries the plus sign, and no minor is degenerate.
     cells = _minor_cells(statement, system, lambda support: support)
-    for (u1,), (u2,), (v1,), (v2,) in cells:
-        plus = (u1, u2) if u1 <= u2 else (u2, u1)
-        minus = (v1, v2) if v1 <= v2 else (v2, v1)
-        if plus != minus:
-            if minus < plus:
-                plus, minus = minus, plus
-            out.append(SaturatedBinomial(plus, minus, source, statement.context))
-    return tuple(out)
+    return tuple(
+        SaturatedBinomial((u1, u2), (v1, v2) if v1 < v2 else (v2, v1), "sat", statement.context)
+        for (u1,), (u2,), (v1,), (v2,) in cells
+    )
 
 
 def _dedup(binomials) -> tuple:

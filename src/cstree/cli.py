@@ -80,8 +80,7 @@ def _load_tree(path):
 
 
 def _emit(report: dict):
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _fail(exc: Exception):
@@ -319,8 +318,7 @@ def _cmd_moralize(args) -> int:
 def _cmd_subtree(args) -> int:
     tree, _ = _load_tree(args.fixture)
     sub = context_subtree(tree, _parse_context(args.context))
-    json.dump(spec_to_json(sub), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _emit(spec_to_json(sub))
     return 0
 
 

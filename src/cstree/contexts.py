@@ -86,37 +86,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _inside(a: int, b: int, a0: int, b0: int) -> bool:
-    """Whether the pair (A, B) sits inside (A0, B0) either way round."""
-    return not (a & ~a0 or b & ~b0) or not (a & ~b0 or b & ~a0)
-
-
-def _bicliques(adjacency, rest: int) -> list:
+def _splits(rest: int):
     """Every canonical pair (A, B) of disjoint nonempty position masks
-    within ``rest`` whose cross pairs are all edges, largest first.
-
-    ``adjacency[i]`` is the neighbor mask of position i, loop-free.
-    Canonical means A holds the lowest position of A | B, as in
-    ``CsiStatement.canonicalize``.  B ranges over the nonempty submasks of
-    A's common neighbors above min(A); a common neighbor of A is never in A.
-    """
-    common = {0: rest}
-    out = []
-    for i in _bits(rest):
-        for a, shared in list(common.items()):
-            shared &= adjacency[i]
-            if not shared:
-                continue
-            a |= 1 << i
-            common[a] = shared
-            low = a & -a
-            above = shared & ~((low << 1) - 1)
-            b = above
-            while b:
-                out.append((a, b))
-                b = (b - 1) & above
-    out.sort(key=lambda ab: -(ab[0].bit_count() + ab[1].bit_count()))
-    return out
+    within ``rest``: A holds the lowest position of A | B, as in
+    ``CsiStatement.canonicalize``.  Each union U of two or more positions
+    is split every way that leaves min(U) in A."""
+    union = rest
+    while union:
+        above = union & (union - 1)
+        b = above
+        while b:
+            yield union ^ b, b
+            b = (b - 1) & above
+        union = (union - 1) & rest
 
 
 def _rank_one(rows: list) -> bool:
@@ -191,8 +173,8 @@ class _Oracle:
     Both pair masks, the survivors and the proven pairs, are kept per cube:
     the AND over the values of the lowest position of S of the cubes
     pinning it, so sibling contexts and a wider S reuse them.  Most (C, S)
-    are settled by the two masks (``by_masks``); the rest try the candidates
-    (``by_candidates``).
+    are settled by the two masks (``by_masks``); the rest are decided by
+    the definition, statement by statement (``by_candidates``).
 
     The point is ``_integer_probabilities``: ``random_point``'s outcome
     table times one positive integer, so each minor keeps its zero pattern.
@@ -280,17 +262,6 @@ class _Oracle:
             out.append(tuple(sliced))
         return out
 
-    def candidates(self, cube: tuple, rest: int) -> list:
-        """Canonical (A, B) within ``rest``, the free positions outside S,
-        whose every cross pair survives in every slice of the cube,
-        largest first."""
-        graph = self.pairs(cube)
-        if not graph:
-            return []
-        row = (1 << self.p) - 1
-        adjacency = [(graph >> (i * self.p)) & row & rest for i in range(self.p)]
-        return _bicliques(adjacency, rest)
-
     def _separated(self, a: int, b: int, vec: tuple) -> bool:
         """Whether the slice's graph d-separates A from B given the pinned
         positions Z: a proof that A _||_ B holds in the slice at every
@@ -365,27 +336,16 @@ class _Oracle:
 
     def by_candidates(self, vec: tuple, s: int, rest: int, pinned: list) -> bool:
         """Whether some statement of (C, S) within ``rest`` stays tied to C,
-        candidate by candidate.
-
-        A statement absorbed by a variable has every sub-statement absorbed
-        by it, so a candidate inside one already found absorbed is skipped,
-        and the largest are tried first.  The slices of (C, S) are listed
-        only once a candidate must be decided on them."""
-        absorbed = []
-        slices = None
-        for a, b in self.candidates(_cube(vec, s), rest):
-            if any(_inside(a, b, a0, b0) for a0, b0 in absorbed):
-                continue
-            if slices is None:
-                slices = self.slices(vec, s)
-            if not all(self._independent(a, b, v) for v in slices):
-                continue
-            if not any(
+        by the definition: some canonical (A, B) holds in (C, S) while, for
+        every pinned i, it fails in the wider (C - i, S + i).  ``holds``
+        reads the survivor mask before it decides any slice."""
+        return any(
+            self.holds(a, b, s, vec)
+            and not any(
                 self.holds(a, b, s | 1 << i, vec[:i] + (-1,) + vec[i + 1 :]) for i in pinned
-            ):
-                return True
-            absorbed.append((a, b))
-        return False
+            )
+            for a, b in _splits(rest)
+        )
 
     def tied(self, vec: tuple) -> bool:
         """Whether some statement valid in the context stays tied to it:
@@ -422,13 +382,13 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     its slices' graphs d-separate.  Most (context, S) are settled by the
     masks alone: S is skipped when some pinned variable proves every
     surviving pair in the wider cube, and the context is kept when a pair
-    proven here is refuted in every wider cube.  Only the rest try the
-    statements whose variable pairs all survive, each proved by
-    d-separation before any minor is expanded; the graphs come from
-    ``context_dag``.  Contexts leaving one variable free are never visited:
-    they hold no pair to tie, and they come last in the order.
-    The search runs once per compiled tree, which keeps its result, so the
-    bases, ``contexts`` and the census share it.
+    proven here is refuted in every wider cube.  Only the rest ask every
+    statement in turn, skipping one with a refuted variable pair and
+    proving the others by d-separation before any minor is expanded; the
+    graphs come from ``context_dag``.  Contexts leaving one variable free
+    are never visited: they hold no pair to tie, and they come last in the
+    order.  The search runs once per compiled tree, which keeps its result,
+    so the bases, ``contexts`` and the census share it.
     """
     compiled = _compile(tree)
     if compiled.minimal_contexts is None:

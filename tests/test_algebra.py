@@ -489,17 +489,23 @@ def test_binomials_agree_with_the_expansion_on_three_label_stages():
 def test_few_path_monomials_decide_without_expansion():
     # p0 + p1 - 1 has three path monomials (the constant's is empty) and is
     # left to the expansion; p0 + p1 has two, which never cancel.  On the
-    # card-3 variable, p0^4 and p1 share a key in two-bit fields.
+    # card-3 variable, p0^4 and p1 share a key in two-bit fields.  From
+    # degree 4 on, three or more path monomials are expanded on widened
+    # images.
     binary = CStreeSpec(VariableSystem((2,)), ((),))
-    p0, p1 = (SparsePoly.variable((x,)) for x in (0, 1))
+    p0, p1, p2 = (SparsePoly.variable((x,)) for x in (0, 1, 2))
     ternary = CStreeSpec(VariableSystem((3,)), ((),))
+    one = SparsePoly.constant(1)
     cases = [
-        (binary, p0 + p1 - SparsePoly.constant(1), True),
+        (binary, p0 + p1 - one, True),
         (binary, p0 + p1, False),
         (binary, p0 - p0, True),
         (ternary, p0**4 - p1, False),
         (ternary, p0**4 * p1 - p1 * p0**4, True),
         (ternary, p0**2 * p1**3 - p1**2 * p0**3, False),
+        (binary, (p0 + p1) ** 4 - one, True),
+        (binary, (p0 + p1) ** 4 - p0, False),
+        (ternary, (p0 + p1 + p2) ** 2 * p0**2 - p0**2, True),
     ]
     for tree, poly, expected in cases:
         assert _Reference(tree).vanishes(poly) == expected, poly

@@ -1,6 +1,8 @@
 """Binomial generating sets: saturated, quad-lift, and perfect routes."""
 
 import json
+import math
+import random
 import warnings
 from collections import Counter
 
@@ -18,9 +20,12 @@ from cstree import (
     canonical_binomial,
     load_spec,
     markov_basis_saturated,
+    minimal_contexts,
     parse_statement,
     perfect_context_basis,
     quad_lift_basis,
+    random_cstree,
+    saturated_statements,
     statement_binomials,
     vanishes,
 )
@@ -60,6 +65,32 @@ def test_statement_binomials_reject_out_of_range_context(chain):
     # X3 has two outcomes; a binomial on (0, 0, 5) would not be an outcome.
     with pytest.raises(BadIndexError):
         statement_binomials(parse_statement("1 _||_ 2 [X3=5]"), chain.system)
+
+
+def test_statement_binomials_are_canonical_one_per_minor():
+    # The minors come with S1 below S2, S3 and S4 in lex order, so each is
+    # already canonical and none is degenerate: one binomial per minor.
+    names = ("fig1.json", "fig3.json", "fig4.json", "fig5_tree.json", "chain123.json")
+    trees = [load_spec(fixture_path(name)) for name in names]
+    rng = random.Random(31)
+    for cards in ((2, 2, 2, 2), (3, 2, 2), (2, 3, 2, 2), (2, 2, 2, 2, 2)):
+        trees += [random_cstree(VariableSystem(cards), rng) for _ in range(8)]
+    minors = 0
+    for tree in trees:
+        system = tree.system
+
+        def size(block):
+            return math.prod(system.card(v) for v in block)
+
+        for cdag in minimal_contexts(tree):
+            for st in saturated_statements(cdag.dag, cdag.context):
+                basis = statement_binomials(st, system)
+                expected = math.comb(size(st.a), 2) * math.comb(size(st.b), 2) * size(st.s)
+                assert len(basis) == expected, st
+                for b in basis:
+                    assert b == canonical_binomial(b.plus, b.minus, "sat", b.context), b
+                minors += expected
+    assert minors > 1000
 
 
 def test_binomials_vanish_on_their_tree(chain, fig3):

@@ -274,6 +274,30 @@ def test_contexts_oracle_clean_on_fig1(capsys):
     assert report["oracle_disagreements"] == []
 
 
+# Staging 313 of the p=4 binary census: the graph of X3 = 0 claims two
+# saturated statements that the model refutes.
+CENSUS_313 = {
+    "p": 4,
+    "cards": [2, 2, 2, 2],
+    "levels": [
+        {"level": 2, "stages": [{"context": {}}]},
+        {"level": 3, "stages": [{"context": {"1": 0}}]},
+        {"level": 4, "stages": [{"context": {"1": 0}}, {"context": {"1": 1, "3": 0}}]},
+    ],
+}
+
+
+def test_contexts_oracle_disagreement_exits_2(capsys, tmp_path):
+    path = tmp_path / "census_313.json"
+    path.write_text(json.dumps(CENSUS_313))
+    code, report = _report(capsys, "contexts", str(path), "--check-oracle")
+    assert code == 2
+    assert report["oracle_disagreements"] == [
+        {"context": "X3=0", "statement": "1,4 _||_ 2 | 3 [X3=0]"},
+        {"context": "X3=0", "statement": "1 _||_ 2 | 3,4 [X3=0]"},
+    ]
+
+
 def test_balance_exit_codes_and_witness(capsys):
     code, report = _report(capsys, "balance", FIG1, "--witness")
     assert code == 2

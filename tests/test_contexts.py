@@ -238,8 +238,9 @@ def test_decomposition_gate():
     # The search decides statements on variable pairs.  That rests on three
     # facts, checked here for every candidate statement in every context: a
     # pair refuted at the point in some slice refutes the statement, a true
-    # statement makes every sub-pair true, and the oracle's candidates are
-    # exactly the statements whose cross pairs all survive in every slice.
+    # statement makes every sub-pair true, and among the splits the fallback
+    # walks the survivor mask admits exactly the statements whose cross
+    # pairs all survive in every slice.
     verdicts = set()
     for tree in _decomposition_trees():
         system = tree.system
@@ -275,13 +276,13 @@ def test_decomposition_gate():
             vec = tuple(pinned.get(i, -1) for i in range(system.p))
             free = [v for v in system.variables if ctx.get(v) is None]
             for s in _nonempty_subsets(free):
-                _check_candidates(oracle, vec, s, free, surviving)
-            _check_candidates(oracle, vec, frozenset(), free, surviving)
+                _check_splits(oracle, vec, s, free, surviving)
+            _check_splits(oracle, vec, frozenset(), free, surviving)
     # Both directions occur: refuted and false, surviving and true.
     assert {(True, False), (False, True)} <= verdicts
 
 
-def _check_candidates(oracle, vec, s, free, surviving):
+def _check_splits(oracle, vec, s, free, surviving):
     names = oracle.system.variables
 
     def mask(block):
@@ -290,11 +291,17 @@ def _check_candidates(oracle, vec, s, free, surviving):
     def block(m):
         return frozenset(v for i, v in enumerate(names) if m >> i & 1)
 
-    got = oracle.candidates(contexts_module._cube(vec, mask(s)), mask(set(free) - s))
-    assert {(block(a), block(b)) for a, b in got} == surviving.get(s, set()), (vec, s)
-    assert len(got) == len(set(got))
-    sizes = [a.bit_count() + b.bit_count() for a, b in got]
-    assert sizes == sorted(sizes, reverse=True)
+    rest = mask(set(free) - s)
+    splits = list(contexts_module._splits(rest))
+    positions = [i for i in range(len(names)) if rest >> i & 1]
+    assert sorted(splits) == sorted(_canonical_pairs(positions)), (vec, s)
+    graph = oracle.pairs(contexts_module._cube(vec, mask(s)))
+    admitted = {
+        (block(a), block(b))
+        for a, b in splits
+        if not contexts_module._cross(a, b, len(names)) & ~graph
+    }
+    assert admitted == surviving.get(s, set()), (vec, s)
 
 
 def test_integer_screens_match_the_reference_screen():

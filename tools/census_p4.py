@@ -1,6 +1,7 @@
-"""The full census of four binary variables as an exact gate.
+"""The full census of four variables as an exact gate.
 
-Every staging of (2, 2, 2, 2) goes through ``is_balanced``,
+Every staging of the cards (2, 2, 2, 2), or of another cards vector given
+with ``--cards``, goes through ``is_balanced``,
 ``minimal_contexts`` and ``is_perfect``, and each minimal-context graph is
 perfected with ``to_perfect`` and audited with
 ``separation_disagreements``.  The saturated basis
@@ -14,22 +15,26 @@ the fiber sweep can fail.  Each saturated binomial is also decided with
 not vanish are exactly the trees the audit flags (their symmetric
 difference is counted), and on balanced trees the saturated, quad-lift
 (``quad_lift_basis``) and perfected (``perfect_context_basis``) bases are
-one set of binomials, none of the quad-lift ones failing to vanish.  The census also counts the statements the
-minimal-context search expands symbolically (``statement_holds`` calls made
-inside ``minimal_contexts``; the audit's are not counted): every other
-true statement the search meets is proved on a slice graph.  It counts
-too the (context, S) visits that the search's pair masks cannot settle
-and that reach its candidate loop (``_Oracle.by_candidates``).  The counts
-alone let a search change move contexts unseen, so the census also pins
-a sha256 over every tree's minimal contexts: one line per tree, in
-enumeration order, of each context's string and its graph's sorted edges.
+one set of binomials, none of the quad-lift ones failing to vanish.  The
+census also counts the statements the minimal-context search expands
+symbolically (``statement_holds`` calls made inside ``minimal_contexts``;
+the audit's are not counted): every other true statement the search meets
+is proved on a slice graph.  It counts too the (context, S) visits that
+the search's pair masks cannot settle and that reach its candidate loop
+(``_Oracle.by_candidates``).  The counts alone let a search change move
+contexts unseen, so the census also pins a sha256 over every tree's
+minimal contexts: one line per tree, in enumeration order, of each
+context's string and its graph's sorted edges.
 
-Usage: python3 tools/census_p4.py
+Usage: python3 tools/census_p4.py [--cards 3,2,2,2]
 
-Prints the counts, the contexts digest and the time as one JSON object and
-exits 1 unless every count and the digest equal their pinned values.
+Each cards vector in ``PINNED`` has its own counts and digest; the ternary
+(3, 2, 2, 2) census is about ten times the binary one.  Prints the counts,
+the contexts digest and the time as one JSON object and exits 1 unless
+every count and the digest equal their pinned values.
 """
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -58,22 +63,44 @@ from cstree import (  # noqa: E402
     vanishes,
 )
 
-EXPECTED = {
-    "trees": 2464,
-    "balanced": 357,
-    "all_graphs_perfect": 353,
-    "balanced_with_disagreements": 0,
-    "unbalanced_with_disagreements": 220,
-    "balanced_with_disconnected_fibers": 0,
-    "unbalanced_with_disconnected_fibers": 84,
-    "saturated_with_nonvanishing": 220,
-    "nonvanishing_apart_from_audit": 0,
-    "balanced_with_equal_bases": 357,
-    "balanced_nonvanishing_quad_lift": 0,
-    "search_symbolic_checks": 8,
-    "search_candidate_loops": 8,
+PINNED = {
+    (2, 2, 2, 2): (
+        {
+            "trees": 2464,
+            "balanced": 357,
+            "all_graphs_perfect": 353,
+            "balanced_with_disagreements": 0,
+            "unbalanced_with_disagreements": 220,
+            "balanced_with_disconnected_fibers": 0,
+            "unbalanced_with_disconnected_fibers": 84,
+            "saturated_with_nonvanishing": 220,
+            "nonvanishing_apart_from_audit": 0,
+            "balanced_with_equal_bases": 357,
+            "balanced_nonvanishing_quad_lift": 0,
+            "search_symbolic_checks": 8,
+            "search_candidate_loops": 8,
+        },
+        "06cccf6fdda557bbe669321223d7c5b0459c0c1e6161f8278fe14660786407d0",
+    ),
+    (3, 2, 2, 2): (
+        {
+            "trees": 16944,
+            "balanced": 1803,
+            "all_graphs_perfect": 1789,
+            "balanced_with_disagreements": 0,
+            "unbalanced_with_disagreements": 792,
+            "balanced_with_disconnected_fibers": 0,
+            "unbalanced_with_disconnected_fibers": 2848,
+            "saturated_with_nonvanishing": 792,
+            "nonvanishing_apart_from_audit": 0,
+            "balanced_with_equal_bases": 1803,
+            "balanced_nonvanishing_quad_lift": 0,
+            "search_symbolic_checks": 28,
+            "search_candidate_loops": 28,
+        },
+        "46186eae45cb96ff907eb10bba17129eee516547961d818c1013c94f96db4e03",
+    ),
 }
-CONTEXTS_SHA256 = "06cccf6fdda557bbe669321223d7c5b0459c0c1e6161f8278fe14660786407d0"
 
 
 def searched(tree, counts: dict) -> tuple:
@@ -99,11 +126,11 @@ def searched(tree, counts: dict) -> tuple:
         contexts_module._Oracle.by_candidates = loop
 
 
-def census() -> tuple:
+def census(cards: tuple) -> tuple:
     """The counts and the hex sha256 of the minimal contexts."""
-    counts = dict.fromkeys(EXPECTED, 0)
+    counts = dict.fromkeys(PINNED[cards][0], 0)
     digest = hashlib.sha256()
-    for tree in enumerate_cstrees(VariableSystem((2, 2, 2, 2))):
+    for tree in enumerate_cstrees(VariableSystem(cards)):
         balanced, _ = is_balanced(tree)
         cdags = searched(tree, counts)
         line = [(str(cd.context), cd.dag.sorted_edges()) for cd in cdags]
@@ -136,16 +163,30 @@ def census() -> tuple:
     return counts, digest.hexdigest()
 
 
+def _cards(text: str) -> tuple:
+    cards = tuple(int(c) for c in text.split(","))
+    if cards not in PINNED:
+        raise argparse.ArgumentTypeError(
+            "pinned cards: " + ", ".join(",".join(map(str, k)) for k in PINNED)
+        )
+    return cards
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="The full census of four variables.")
+    parser.add_argument("--cards", type=_cards, default=(2, 2, 2, 2))
+    cards = parser.parse_args().cards
+    expected, expected_sha256 = PINNED[cards]
     start = time.perf_counter()
-    counts, contexts_sha256 = census()
+    counts, contexts_sha256 = census(cards)
     elapsed = time.perf_counter() - start
-    wrong = {k: (v, EXPECTED[k]) for k, v in counts.items() if v != EXPECTED[k]}
-    if contexts_sha256 != CONTEXTS_SHA256:
-        wrong["contexts_sha256"] = (contexts_sha256, CONTEXTS_SHA256)
+    wrong = {k: (v, expected[k]) for k, v in counts.items() if v != expected[k]}
+    if contexts_sha256 != expected_sha256:
+        wrong["contexts_sha256"] = (contexts_sha256, expected_sha256)
     print(
         json.dumps(
             {
+                "cards": list(cards),
                 "counts": counts,
                 "contexts_sha256": contexts_sha256,
                 "seconds": round(elapsed, 2),
