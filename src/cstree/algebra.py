@@ -62,6 +62,7 @@ from .csi import CsiStatement, is_saturated
 from .errors import (
     BadIndexError,
     BoundTooLargeError,
+    BudgetExceededError,
     NotSameStageError,
     PreconditionError,
 )
@@ -123,6 +124,12 @@ def _widen(key: int, width: int) -> int:
     return out
 
 
+# The most outcomes a tree may have to be compiled.  The outcomes bound
+# every layer's vertices and every level's labels, so no larger table is
+# built.
+_MAX_OUTCOMES = 1 << 20
+
+
 class _Compiled:
     """One validated tree in integer form.
 
@@ -133,6 +140,9 @@ class _Compiled:
 
     def __init__(self, tree: CStreeSpec):
         system = tree.system
+        outcomes = math.prod(system.cards)
+        if outcomes > _MAX_OUTCOMES:
+            raise BudgetExceededError(f"{outcomes} outcomes, budget is {_MAX_OUTCOMES}")
         labels = []
         self.first = []
         for k, var in enumerate(system.variables):
@@ -512,17 +522,13 @@ def statement_holds(tree: CStreeSpec, statement: CsiStatement) -> bool:
 
 
 def _stage_draws(compiled: _Compiled, seed) -> list:
-    """Per stage in label order, (its label ids, their numerators drawn from
-    1..97): the one draw behind ``random_point``."""
+    """Per depth, per stage in label order, (its label ids, their numerators
+    drawn from 1..97): the one draw behind ``random_point``."""
     rng = random.Random(seed)
-    labels = compiled.labels
-    out = []
-    for _, ids in itertools.groupby(
-        range(len(labels)), key=lambda i: (labels[i].level, labels[i].stage_context)
-    ):
-        ids = tuple(ids)
-        out.append((ids, [rng.randint(1, 97) for _ in ids]))
-    return out
+    return [
+        [(range(i, i + d), [rng.randint(1, 97) for _ in range(d)]) for i in stages]
+        for stages, d in zip(compiled.stages, compiled.system.cards)
+    ]
 
 
 def random_point(tree: CStreeSpec, seed=0) -> dict:
@@ -530,7 +536,7 @@ def random_point(tree: CStreeSpec, seed=0) -> dict:
     from 1..97 and normalized, so every label is a positive Fraction."""
     compiled = _compile(tree)
     point = {}
-    for ids, nums in _stage_draws(compiled, seed):
+    for ids, nums in itertools.chain.from_iterable(_stage_draws(compiled, seed)):
         total = sum(nums)
         point.update((compiled.labels[i], Fraction(n, total)) for i, n in zip(ids, nums))
     return point
@@ -545,16 +551,13 @@ def _integer_probabilities(tree: CStreeSpec) -> dict:
     outcome's path meets each level once, so every outcome is scaled by the
     same product of the levels' L."""
     compiled = _compile(tree)
-    draws = _stage_draws(compiled, 0)
-    lcms = {}
-    for ids, nums in draws:
-        level = compiled.labels[ids[0]].level
-        lcms[level] = math.lcm(lcms.get(level, 1), sum(nums))
     weights = [0] * len(compiled.labels)
-    for ids, nums in draws:
-        scale = lcms[compiled.labels[ids[0]].level] // sum(nums)
-        for i, n in zip(ids, nums):
-            weights[i] = n * scale
+    for draws in _stage_draws(compiled, 0):
+        lcm = math.lcm(*(sum(nums) for _, nums in draws))
+        for ids, nums in draws:
+            scale = lcm // sum(nums)
+            for i, n in zip(ids, nums):
+                weights[i] = n * scale
     return {
         x: math.prod(weights[i] for i in ids) for x, ids in compiled.paths.items()
     }

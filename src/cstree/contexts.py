@@ -166,14 +166,16 @@ class _Oracle:
     observed sinks; so when a and b are d-separated given the pinned
     positions (``_separated``), a _||_ b holds at every parameter value.
     Set d-separation is the AND of pairwise d-separation, so A _||_ B is
-    proved in a slice when every cross pair is.  What the graph cannot show
-    (independence that is context-specific within the slice) is decided
-    symbolically (``statement_holds``), so every verdict is exact.
+    proved in a slice when every cross pair is.
 
     Both pair masks, the survivors and the proven pairs, are kept per cube:
     the AND over the values of the lowest position of S of the cubes
-    pinning it, so sibling contexts and a wider S reuse them.  Most (C, S)
-    are settled by the two masks (``by_masks``); the rest are decided by
+    pinning it, so sibling contexts and a wider S reuse them.  A statement
+    is decided on its cube (``holds``): a refuted cross pair refutes it, a
+    cube proving every cross pair proves it, and what the graphs cannot
+    show (independence that is context-specific within a slice) is decided
+    symbolically (``statement_holds``), so every verdict is exact.  The
+    masks only release a (C, S) (``released``); a context is kept only by
     the definition, statement by statement (``by_candidates``).
 
     The point is ``_integer_probabilities``: ``random_point``'s outcome
@@ -192,13 +194,13 @@ class _Oracle:
         self.strides = [math.prod(c + 1 for c in system.cards[i + 1 :]) for i in range(self.p)]
         self._pairs = {}  # cube -> mask of surviving pairs, bit i*p + j both ways
         self._proven = {}  # cube -> mask of the surviving pairs its slice graphs separate
-        self._decided = {}  # (A, B, slice) -> symbolic verdict
+        self._decided = {}  # (A, B, S, context) -> symbolic verdict
 
-    def _statement(self, a: int, b: int, vec: tuple) -> CsiStatement:
-        """The marginal independence A _||_ B in a slice."""
+    def _statement(self, a: int, b: int, s: int, vec: tuple) -> CsiStatement:
+        """The statement A _||_ B | S in a context."""
         names = self.system.variables
-        a, b = (frozenset(names[i] for i in _bits(part)) for part in (a, b))
-        return CsiStatement(a, b, (), _context(self.system, vec))
+        a, b, s = (frozenset(names[i] for i in _bits(part)) for part in (a, b, s))
+        return CsiStatement(a, b, s, _context(self.system, vec))
 
     def _masked(self, memo: dict, leaf, cube: tuple) -> int:
         """A cube's pair mask kept in ``memo``: ``leaf`` of a slice, the AND
@@ -251,17 +253,6 @@ class _Oracle:
                 mask |= 1 << k | 1 << (j * p + i)
         return mask
 
-    def slices(self, vec: tuple, s: int) -> list:
-        """The slices C, S = x_S of a context, x_S in lex order."""
-        places = list(_bits(s))
-        out = []
-        for xs in itertools.product(*(range(self.system.cards[i]) for i in places)):
-            sliced = list(vec)
-            for i, x in zip(places, xs):
-                sliced[i] = x
-            out.append(tuple(sliced))
-        return out
-
     def _separated(self, a: int, b: int, vec: tuple) -> bool:
         """Whether the slice's graph d-separates A from B given the pinned
         positions Z: a proof that A _||_ B holds in the slice at every
@@ -289,56 +280,45 @@ class _Oracle:
             reached |= frontier
         return not reached & b
 
-    def _independent(self, a: int, b: int, vec: tuple) -> bool:
-        """A _||_ B in one slice, every cross pair having survived there:
-        proved when every cross pair is proven, else decided symbolically."""
-        if not _cross(a, b, self.p) & ~self.proven(vec):
-            return True
-        key = (a, b, vec)
-        verdict = self._decided.get(key)
-        if verdict is None:
-            verdict = statement_holds(self.tree, self._statement(a, b, vec))
-            self._decided[key] = verdict
-        return verdict
-
     def holds(self, a: int, b: int, s: int, vec: tuple) -> bool:
-        """A _||_ B | S in the context: the AND over its slices."""
-        return not _cross(a, b, self.p) & ~self.pairs(_cube(vec, s)) and all(
-            self._independent(a, b, v) for v in self.slices(vec, s)
-        )
+        """A _||_ B | S in the context, decided on its cube: false when some
+        cross pair is refuted in a slice (decomposition), true when every
+        cross pair is proven in every slice (d-separation composes over
+        pairs and slices), else by one symbolic check."""
+        cross = _cross(a, b, self.p)
+        cube = _cube(vec, s)
+        if cross & ~self.pairs(cube):
+            return False
+        if not cross & ~self.proven(cube):
+            return True
+        key = (a, b, s, vec)
+        if key not in self._decided:
+            self._decided[key] = statement_holds(self.tree, self._statement(a, b, s, vec))
+        return self._decided[key]
 
-    def by_masks(self, vec: tuple, s: int, rest: int, pinned: list):
-        """Whether some statement of (C, S) within ``rest`` stays tied to C,
-        read off the pair masks alone, or None when they cannot tell.
-
-        Let g be the pairs within ``rest`` that survive every slice of
-        (C, S): every candidate's cross pairs lie in g.  If some pinned i
-        has all of g proven in the wider cube (C - i, S + i), every
-        candidate holds there, d-separation composing over its cross pairs,
-        so i absorbs it: nothing is tied (False).  A pair proven in (C, S)
-        yet refuted in every wider cube is a valid statement that no
-        variable absorbs (True)."""
+    def released(self, vec: tuple, s: int, rest: int, pinned: list) -> bool:
+        """Whether the pair masks show that no statement of (C, S) within
+        ``rest`` stays tied to C.  Let g be the pairs within ``rest`` that
+        survive every slice of (C, S): every candidate's cross pairs lie in
+        g.  None is tied when g is empty, or when some pinned i has all of g
+        proven in the wider cube (C - i, S + i): every candidate holds
+        there, d-separation composing over its cross pairs, so i releases
+        it."""
         p = self.p
         within = 0
         for i in _bits(rest):
             within |= rest << (i * p)
         cube = _cube(vec, s)
         g = self.pairs(cube) & within
-        if not g:
-            return False
-        wider = [cube[:i] + (-2,) + cube[i + 1 :] for i in pinned]
-        if any(not g & ~self.proven(w) for w in wider):
-            return False
-        tied = self.proven(cube) & within
-        for w in wider:
-            tied &= ~self.pairs(w)
-        return True if tied else None
+        return not g or any(
+            not g & ~self.proven(cube[:i] + (-2,) + cube[i + 1 :]) for i in pinned
+        )
 
     def by_candidates(self, vec: tuple, s: int, rest: int, pinned: list) -> bool:
         """Whether some statement of (C, S) within ``rest`` stays tied to C,
         by the definition: some canonical (A, B) holds in (C, S) while, for
-        every pinned i, it fails in the wider (C - i, S + i).  ``holds``
-        reads the survivor mask before it decides any slice."""
+        every pinned i, it fails in the wider (C - i, S + i), each decided
+        on its cube by ``holds``."""
         return any(
             self.holds(a, b, s, vec)
             and not any(
@@ -349,18 +329,15 @@ class _Oracle:
 
     def tied(self, vec: tuple) -> bool:
         """Whether some statement valid in the context stays tied to it:
-        un-pinning any one context variable into S breaks it.  Each S is
-        settled by the pair masks where they tell, else by the candidates."""
+        un-pinning any one context variable into S breaks it.  An S the pair
+        masks do not release asks the candidates."""
         free = sum(1 << i for i, x in enumerate(vec) if x < 0)
         pinned = [i for i, x in enumerate(vec) if x >= 0]
         s = free
         while True:
             rest = free & ~s
-            if rest.bit_count() >= 2:
-                verdict = self.by_masks(vec, s, rest, pinned)
-                if verdict is None:
-                    verdict = self.by_candidates(vec, s, rest, pinned)
-                if verdict:
+            if rest.bit_count() >= 2 and not self.released(vec, s, rest, pinned):
+                if self.by_candidates(vec, s, rest, pinned):
                     return True
             if not s:
                 return False
@@ -379,15 +356,15 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     list (a complete graph when no global statement holds).  Validity is
     decided by the semantic oracle, which keeps two pair masks per
     (context, S) cube: the pairs that survive its point screens and those
-    its slices' graphs d-separate.  Most (context, S) are settled by the
-    masks alone: S is skipped when some pinned variable proves every
-    surviving pair in the wider cube, and the context is kept when a pair
-    proven here is refuted in every wider cube.  Only the rest ask every
-    statement in turn, skipping one with a refuted variable pair and
-    proving the others by d-separation before any minor is expanded; the
-    graphs come from ``context_dag``.  Contexts leaving one variable free
-    are never visited: they hold no pair to tie, and they come last in the
-    order.  The search runs once per compiled tree, which keeps its result,
+    its slices' graphs d-separate.  The masks only release: S is skipped
+    when no pair survives it, or when some pinned variable proves every
+    surviving pair in the wider cube.  Every other S asks each statement in
+    turn, and the context is kept only when one holds and no pinned
+    variable releases it.  Each statement is decided on its cube: a refuted
+    pair refutes it, a cube proving every cross pair proves it, and only
+    the rest expand minors; the graphs come from ``context_dag``.
+    Contexts leaving one variable free are never visited: they hold no
+    pair to tie, and they come last in the order.  The search runs once per compiled tree, which keeps its result,
     so the bases, ``contexts`` and the census share it.
     """
     compiled = _compile(tree)

@@ -8,6 +8,7 @@ on everything the budget allows.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -29,7 +30,7 @@ from .model import (
     tree_of_dag,
     validate,
 )
-from .algebra import is_balanced
+from .algebra import _MAX_OUTCOMES, is_balanced
 from .contexts import minimal_contexts
 
 
@@ -60,18 +61,23 @@ def _level_partitions(system: VariableSystem, pos: int):
 
     Splits on the lex-smallest uncovered vertex, trying every admissible
     cylinder around it in turn, so each partition appears once and the
-    order is deterministic.
+    order is deterministic.  The walk keeps its own stack, one entry per
+    stage chosen so far, so no recursion limit bounds a partition's size.
     """
-
-    def split(uncovered):
-        if not uncovered:
-            yield ()
-            return
-        for stage, members in _cylinders(system, pos, uncovered):
-            for rest in split(uncovered - members):
-                yield (stage,) + rest
-
-    yield from split(frozenset(system.level_vertices(pos)))
+    layer = frozenset(system.level_vertices(pos))
+    stack = [((), layer, _cylinders(system, pos, layer))]
+    while stack:
+        prefix, uncovered, options = stack[-1]
+        option = next(options, None)
+        if option is None:
+            stack.pop()
+            continue
+        stage, members = option
+        rest = uncovered - members
+        if rest:
+            stack.append((prefix + (stage,), rest, _cylinders(system, pos, rest)))
+        else:
+            yield prefix + (stage,)
 
 
 def validate_level_partition(system: VariableSystem, var: int, stages) -> tuple:
@@ -137,9 +143,14 @@ def enumeration_cursor(system: VariableSystem, max_trees=200_000) -> Enumeration
     Draws each layer's partitions in turn and raises BudgetExceededError as
     soon as the partitions drawn so far, times the earlier layers' counts,
     exceed ``max_trees``: no layer is drawn past the budget.  A negative
-    budget raises PreconditionError before any layer is drawn."""
+    budget raises PreconditionError, and a layer wider than the outcomes a
+    tree may compile to raises BudgetExceededError, before any layer is
+    drawn."""
     if max_trees is not None and max_trees < 0:
         raise PreconditionError(f"budget must be non-negative, got {max_trees}")
+    widest = math.prod(system.cards[:-1])
+    if widest > _MAX_OUTCOMES:
+        raise BudgetExceededError(f"a layer of {widest} vertices, budget is {_MAX_OUTCOMES}")
     per_level = []
     total = 1
     for pos in range(system.p):

@@ -555,6 +555,29 @@ def test_enumerate_census_needs_three_variables(capsys):
     assert json.loads(err)["error"]["type"] == "NotP3"
 
 
+HUGE = 100000000000000000000000
+
+
+@pytest.mark.parametrize("cards", [[2, HUGE], [HUGE, 2]], ids=["wide-last", "wide-first"])
+def test_oversized_tree_is_refused_before_it_is_compiled(capsys, tmp_path, cards):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"cards": cards}))
+    code, out, err = _run(capsys, "contexts", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+    # Reading the tree without compiling it still works.
+    code, report = _report(capsys, "validate", str(path))
+    assert code == 0 and report["valid"]
+    code, report = _report(capsys, "subtree", str(path), "--context", "1=0")
+    assert code == 0 and report["p"] == 1
+
+
+def test_enumerate_refuses_a_layer_wider_than_the_budget(capsys):
+    code, out, err = _run(capsys, "enumerate", "--cards", f"2,{HUGE},2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+
+
 def test_classify_examples(capsys):
     code, report = _report(capsys, "classify", FIG1)
     assert code == 0

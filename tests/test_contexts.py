@@ -228,6 +228,16 @@ def _decomposition_trees():
     return trees
 
 
+def _slices(system, vec, s):
+    """The slices C, S = x_S of a context, x_S in lex order."""
+    places = list(contexts_module._bits(s))
+    for xs in itertools.product(*(range(system.cards[i]) for i in places)):
+        sliced = list(vec)
+        for i, x in zip(places, xs):
+            sliced[i] = x
+        yield tuple(sliced)
+
+
 def _nonempty_subsets(block):
     block = sorted(block)
     for size in range(1, len(block) + 1):
@@ -240,10 +250,15 @@ def test_decomposition_gate():
     # pair refuted at the point in some slice refutes the statement, a true
     # statement makes every sub-pair true, and among the splits the fallback
     # walks the survivor mask admits exactly the statements whose cross
-    # pairs all survive in every slice.
+    # pairs all survive in every slice.  The oracle's verdict on the cube
+    # equals statement_holds on every candidate, and each of its three
+    # branches (a refuted cross pair, every cross pair proven, symbolic)
+    # decides some candidate.
     verdicts = set()
-    for tree in _decomposition_trees():
+    branches = set()
+    for tree in _decomposition_trees() + [spec_from_json(CENSUS_361)]:
         system = tree.system
+        names = system.variables
         probs = outcome_probabilities(tree, random_point(tree))
         oracle = contexts_module._Oracle(tree)
         holds = functools.cache(lambda st: statement_holds(tree, st))
@@ -251,6 +266,7 @@ def test_decomposition_gate():
             lambda a, b, ctx: statement_zero_at(CsiStatement({a}, {b}, (), ctx), system, probs)
         )
         for ctx in all_contexts(system):
+            vec = _vector(system, ctx)
             surviving = {}
             for st in _context_statements(system, ctx):
                 s = sorted(st.s)
@@ -263,6 +279,9 @@ def test_decomposition_gate():
                 )
                 verdict = holds(st)
                 verdicts.add((refuted, verdict))
+                masks = [sum(1 << names.index(v) for v in part) for part in (st.a, st.b, st.s)]
+                branches.add(_branch(oracle, *masks, vec))
+                assert oracle.holds(*masks, vec) == verdict, st
                 if refuted:
                     assert not verdict, st
                 else:
@@ -272,14 +291,28 @@ def test_decomposition_gate():
                         _nonempty_subsets(st.a), _nonempty_subsets(st.b)
                     ):
                         assert holds(CsiStatement(a, b, st.s, ctx).canonicalize()), (st, a, b)
-            pinned = system.pinned(ctx)
-            vec = tuple(pinned.get(i, -1) for i in range(system.p))
             free = [v for v in system.variables if ctx.get(v) is None]
             for s in _nonempty_subsets(free):
                 _check_splits(oracle, vec, s, free, surviving)
             _check_splits(oracle, vec, frozenset(), free, surviving)
     # Both directions occur: refuted and false, surviving and true.
     assert {(True, False), (False, True)} <= verdicts
+    assert branches == {"refuted", "proven", "symbolic"}
+
+
+def _vector(system, ctx):
+    """The per-position value vector of a context, -1 where free."""
+    pinned = system.pinned(ctx)
+    return tuple(pinned.get(i, -1) for i in range(system.p))
+
+
+def _branch(oracle, a, b, s, vec):
+    """Which branch of ``holds`` decides A _||_ B | S in a context."""
+    cross = contexts_module._cross(a, b, oracle.p)
+    cube = contexts_module._cube(vec, s)
+    if cross & ~oracle.pairs(cube):
+        return "refuted"
+    return "symbolic" if cross & ~oracle.proven(cube) else "proven"
 
 
 def _check_splits(oracle, vec, s, free, surviving):
@@ -316,12 +349,11 @@ def test_integer_screens_match_the_reference_screen():
         assert ratio > 0 and len(oracle.probs) == len(probs)
         slices = set()
         for ctx in all_contexts(system):
-            pinned = system.pinned(ctx)
-            vec = tuple(pinned.get(i, -1) for i in range(system.p))
+            vec = _vector(system, ctx)
             free = sum(1 << i for i, x in enumerate(vec) if x < 0)
             s = free
             while True:
-                slices.update(oracle.slices(vec, s))
+                slices.update(_slices(system, vec, s))
                 if not s:
                     break
                 s = (s - 1) & free
@@ -367,7 +399,7 @@ def test_cubes_screen_the_and_of_their_slices():
             s = free
             while True:
                 expected = -1
-                for sl in oracle.slices(vec, s):
+                for sl in _slices(tree.system, vec, s):
                     expected &= fresh.pairs(sl)
                 assert oracle.pairs(contexts_module._cube(vec, s)) == expected, (vec, s)
                 if not s:
@@ -469,7 +501,7 @@ def test_proven_masks_are_pairwise_d_separation():
             marked = sum(1 << i for i, x in enumerate(cube) if x == -2)
             vec = tuple(-1 if x == -2 else x for x in cube)
             expected = -1
-            for sl in oracle.slices(vec, marked):
+            for sl in _slices(system, vec, marked):
                 expected &= reference[sl]
             assert oracle.proven(cube) == expected, cube
     assert outcomes == {True, False}
@@ -520,7 +552,7 @@ def test_slice_certificate_implies_statement_holds():
                 certified = oracle._separated(a, b, vec)
                 outcomes.add(certified)
                 if certified:
-                    statement = oracle._statement(a, b, vec)
+                    statement = oracle._statement(a, b, 0, vec)
                     assert statement_holds(tree, statement), (tree, statement)
     assert outcomes == {True, False}
 
@@ -553,17 +585,22 @@ def test_symbolic_fallback_decides_what_the_slice_graph_cannot_show():
     for x in (0, 1):
         vec = (-1, -1, -1, x)
         assert not oracle._separated(0b1, 0b10, vec)
-        assert statement_holds(tree, oracle._statement(0b1, 0b10, vec))
-        assert oracle._independent(0b1, 0b10, vec)
+        assert statement_holds(tree, oracle._statement(0b1, 0b10, 0, vec))
+        assert oracle.holds(0b1, 0b10, 0, vec)
+    # X1 _||_ X2 | X4: its cube proves no pair, so only the symbolic check
+    # decides it.
+    free = (-1, -1, -1, -1)
+    assert oracle.holds(0b1, 0b10, 0b1000, free)
+    assert (0b1, 0b10, 0b1000, free) in oracle._decided
 
 
 # A five-variable binary staging in which X1 _||_ X5 holds in the context
 # X3 = 0 and given X3, yet no slice graph shows it.  With the context
 # X3 = 0 and S empty, (X1, X2) is proven both there and with X3 released,
-# while (X1, X5) survives unproven: neither mask rule applies, and the
-# candidate loop finds X1 _||_ {X2, X5} released by X3.  Accepting any
-# proven pair, without asking that the wider cubes refute it, would keep
-# the context.
+# while (X1, X5) survives unproven: the masks do not release (C, S), and
+# the candidate loop finds X1 _||_ {X2, X5} released by X3.  Keeping the
+# context for any proven pair, without asking that every wider cube break
+# a statement holding here, would keep it.
 RELEASED_BY_X3 = {
     "p": 5,
     "cards": [2, 2, 2, 2, 2],
@@ -592,10 +629,9 @@ RELEASED_BY_X3 = {
 
 
 def test_mask_rules_agree_with_the_candidate_loop():
-    # Where the pair masks settle a (C, S), the candidate loop of a fresh
-    # oracle gives the same verdict: a prune leaves no valid unabsorbed
-    # candidate, an accept has one.
-    verdicts = set()
+    # Where the pair masks release a (C, S), the candidate loop of a fresh
+    # oracle finds no valid candidate that stays tied.
+    answers = set()
     extra = [spec_from_json(CENSUS_361), spec_from_json(RELEASED_BY_X3)]
     for tree in _decomposition_trees() + extra:
         oracle = contexts_module._Oracle(tree)
@@ -607,14 +643,14 @@ def test_mask_rules_agree_with_the_candidate_loop():
             while True:
                 rest = free & ~s
                 if rest.bit_count() >= 2:
-                    verdict = oracle.by_masks(vec, s, rest, pinned)
-                    if verdict is not None:
-                        assert verdict == loop.by_candidates(vec, s, rest, pinned), (vec, s)
-                    verdicts.add(verdict)
+                    released = oracle.released(vec, s, rest, pinned)
+                    if released:
+                        assert not loop.by_candidates(vec, s, rest, pinned), (vec, s)
+                    answers.add(released)
                 if not s:
                     break
                 s = (s - 1) & free
-    assert verdicts == {True, False, None}
+    assert answers == {True, False}
 
 
 def test_search_without_slice_certificates_is_unchanged(monkeypatch):

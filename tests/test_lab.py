@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -37,6 +38,12 @@ def test_staging_counts():
     assert count_cstrees(VariableSystem((3, 2, 2))) == 24
     assert count_cstrees(VariableSystem((2, 2, 3))) == 16
     assert count_cstrees(VariableSystem((2, 2, 2, 2))) == 2464
+
+
+def test_a_layer_of_singletons_does_not_recurse():
+    # The second layer has more vertices than the recursion limit allows
+    # frames; its partitions are the whole layer and the singletons.
+    assert count_cstrees(VariableSystem((sys.getrecursionlimit() + 100, 2))) == 2
 
 
 def test_square_layer_has_eight_partitions():

@@ -18,9 +18,10 @@ difference is counted), and on balanced trees the saturated, quad-lift
 one set of binomials, none of the quad-lift ones failing to vanish.  The
 census also counts the statements the minimal-context search expands
 symbolically (``statement_holds`` calls made inside ``minimal_contexts``;
-the audit's are not counted): every other true statement the search meets
-is proved on a slice graph.  It counts too the (context, S) visits that
-the search's pair masks cannot settle and that reach its candidate loop
+the audit's are not counted) and those of them that are false: every
+other statement the search decides is refuted by a pair screen or proved
+on its cube's slice graphs.  It counts too the (context, S) visits that
+the search's pair masks do not release and that reach its candidate loop
 (``_Oracle.by_candidates``).  The counts alone let a search change move
 contexts unseen, so the census also pins a sha256 over every tree's
 minimal contexts: one line per tree, in enumeration order, of each
@@ -28,10 +29,10 @@ context's string and its graph's sorted edges.
 
 Usage: python3 tools/census_p4.py [--cards 3,2,2,2]
 
-Each cards vector in ``PINNED`` has its own counts and digest; the ternary
-(3, 2, 2, 2) census is about ten times the binary one.  Prints the counts,
-the contexts digest and the time as one JSON object and exits 1 unless
-every count and the digest equal their pinned values.
+Each cards vector in ``PINNED`` has its own counts and digest; the
+ternary censuses take five to ten times the binary one.  Prints the
+counts, the contexts digest and the time as one JSON object and exits 1
+unless every count and the digest equal their pinned values.
 """
 
 import argparse
@@ -77,8 +78,9 @@ PINNED = {
             "nonvanishing_apart_from_audit": 0,
             "balanced_with_equal_bases": 357,
             "balanced_nonvanishing_quad_lift": 0,
-            "search_symbolic_checks": 8,
-            "search_candidate_loops": 8,
+            "search_symbolic_checks": 12,
+            "search_symbolic_refutations": 0,
+            "search_candidate_loops": 5184,
         },
         "06cccf6fdda557bbe669321223d7c5b0459c0c1e6161f8278fe14660786407d0",
     ),
@@ -95,23 +97,65 @@ PINNED = {
             "nonvanishing_apart_from_audit": 0,
             "balanced_with_equal_bases": 1803,
             "balanced_nonvanishing_quad_lift": 0,
-            "search_symbolic_checks": 28,
-            "search_candidate_loops": 28,
+            "search_symbolic_checks": 42,
+            "search_symbolic_refutations": 0,
+            "search_candidate_loops": 54230,
         },
         "46186eae45cb96ff907eb10bba17129eee516547961d818c1013c94f96db4e03",
+    ),
+    (2, 3, 2, 2): (
+        {
+            "trees": 16944,
+            "balanced": 1803,
+            "all_graphs_perfect": 1789,
+            "balanced_with_disagreements": 0,
+            "unbalanced_with_disagreements": 792,
+            "balanced_with_disconnected_fibers": 0,
+            "unbalanced_with_disconnected_fibers": 2848,
+            "saturated_with_nonvanishing": 792,
+            "nonvanishing_apart_from_audit": 0,
+            "balanced_with_equal_bases": 1803,
+            "balanced_nonvanishing_quad_lift": 0,
+            "search_symbolic_checks": 42,
+            "search_symbolic_refutations": 0,
+            "search_candidate_loops": 54230,
+        },
+        "158ddf14fc0c165823935958f8e7df8e65774f2c8e62bef0f726094c81765c6c",
+    ),
+    (2, 2, 3, 2): (
+        {
+            "trees": 11296,
+            "balanced": 1029,
+            "all_graphs_perfect": 1025,
+            "balanced_with_disagreements": 0,
+            "unbalanced_with_disagreements": 2040,
+            "balanced_with_disconnected_fibers": 0,
+            "unbalanced_with_disconnected_fibers": 3250,
+            "saturated_with_nonvanishing": 2040,
+            "nonvanishing_apart_from_audit": 0,
+            "balanced_with_equal_bases": 1029,
+            "balanced_nonvanishing_quad_lift": 0,
+            "search_symbolic_checks": 12,
+            "search_symbolic_refutations": 0,
+            "search_candidate_loops": 33536,
+        },
+        "3ca96c534b98e7609ab7aed6ffb4933eb642e737ed425ee0dd9fdde5a9d6db1a",
     ),
 }
 
 
 def searched(tree, counts: dict) -> tuple:
     """``minimal_contexts(tree)``, counting the ``statement_holds`` calls
-    and the candidate loops the search makes."""
+    the search makes, those of them that return False, and its candidate
+    loops."""
     holds = contexts_module.statement_holds
     loop = contexts_module._Oracle.by_candidates
 
     def counted(*args):
         counts["search_symbolic_checks"] += 1
-        return holds(*args)
+        verdict = holds(*args)
+        counts["search_symbolic_refutations"] += not verdict
+        return verdict
 
     def counted_loop(*args):
         counts["search_candidate_loops"] += 1
