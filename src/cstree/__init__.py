@@ -23,6 +23,7 @@ from .errors import (
     ShapeMismatchError,
     UnbalancedError,
     UnbalancedWarning,
+    UsageError,
 )
 from .model import (
     Context,

@@ -116,12 +116,7 @@ def _label_ids(key: int) -> list:
 
 def _widen(key: int, width: int) -> int:
     """A packed monomial re-packed with ``width``-bit fields."""
-    out = shift = 0
-    while key:
-        out |= (key & _FIELD) << shift
-        key >>= _WIDTH
-        shift += width
-    return out
+    return sum(1 << width * i for i in _label_ids(key))
 
 
 # The most outcomes a tree may have to be compiled.  The outcomes bound
@@ -668,23 +663,21 @@ def _tables(total: int, units, columns):
 _TABLE_BUDGET = 2_000_000
 
 
-def _check_fiber_bound(matrix: ExponentMatrix, bound: int, table_budget=_TABLE_BUDGET):
+def _check_fiber_bound(matrix: ExponentMatrix, bound: int):
     """Refuse a fiber bound before any table is built: a negative bound
     raises PreconditionError, and one whose tables over the matrix's outcomes
-    outnumber ``table_budget`` raises BoundTooLargeError."""
+    outnumber ``_TABLE_BUDGET`` raises BoundTooLargeError."""
     if bound < 0:
         raise PreconditionError(f"fiber bound must be non-negative, got {bound}")
     n = len(matrix.outcomes)
     expected = math.comb(n + bound, bound)
-    if expected > table_budget:
+    if expected > _TABLE_BUDGET:
         raise BoundTooLargeError(
-            f"{expected} tables at bound {bound} exceed the budget {table_budget}"
+            f"{expected} tables at bound {bound} exceed the budget {_TABLE_BUDGET}"
         )
 
 
-def fibers_connected(
-    matrix: ExponentMatrix, moves, bound=2, table_budget=_TABLE_BUDGET
-) -> FiberReport:
+def fibers_connected(matrix: ExponentMatrix, moves, bound=2) -> FiberReport:
     """Check that a move set connects every fiber of small tables.
 
     Tables are nonnegative integer vectors over the outcomes with total at
@@ -692,7 +685,8 @@ def fibers_connected(
     the exponent matrix.  Moves apply in both directions wherever they keep
     the table nonnegative.  A disconnected fiber is reported through two
     tables from different components.  A negative bound raises
-    PreconditionError, one past ``table_budget`` BoundTooLargeError.
+    PreconditionError, one whose tables outnumber ``_TABLE_BUDGET``
+    (2,000,000) BoundTooLargeError.
 
     Tables and marginals are packed with one ``bound.bit_length()``-bit
     field per outcome or label, which no count up to the bound overflows,
@@ -710,7 +704,7 @@ def fibers_connected(
     by marginal, and the witness is the first split fiber in marginal
     order, its tables walked in lex order.
     """
-    _check_fiber_bound(matrix, bound, table_budget)
+    _check_fiber_bound(matrix, bound)
     width, n = bound.bit_length(), len(matrix.outcomes)
     units = _fields(width, n)
     rows = _fields(width, len(matrix.labels))

@@ -19,7 +19,13 @@ import sys
 import warnings
 
 from . import __version__
-from .errors import BadCardinalityError, BadIndexError, CStreeError, PreconditionError
+from .errors import (
+    BadCardinalityError,
+    BadIndexError,
+    CStreeError,
+    PreconditionError,
+    UsageError,
+)
 from .model import (
     Context,
     VariableSystem,
@@ -359,10 +365,19 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2, so
+    usage errors end like every other failure: one JSON object, exit 1.
+    Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of the process, built at the first ``main`` call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cstree",
         description="Staged event trees: validation, context graphs, "
         "balance, moralization, and binomial Markov bases.",
@@ -456,8 +471,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (CStreeError, OSError, ValueError) as exc:
         _fail(exc)

@@ -65,5 +65,9 @@ class PreconditionError(CStreeError):
     """An operation's stated precondition does not hold for the input."""
 
 
+class UsageError(CStreeError):
+    """A command line the parser cannot read."""
+
+
 class UnbalancedWarning(UserWarning):
     """Emitted when a construction is run on an unbalanced tree anyway."""

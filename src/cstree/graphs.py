@@ -109,31 +109,32 @@ def _check_query(dag: Dag, a, b, s):
         raise BadGraphError("separation query sets must be disjoint")
 
 
-def _ancestral(dag: Dag, seed) -> frozenset:
-    parents = dag._parents
+def _reach(adjacency, seed) -> set:
+    """The seed and every vertex reachable from it along ``adjacency``."""
     closed = set(seed)
-    frontier = list(seed)
+    frontier = list(closed)
     while frontier:
-        v = frontier.pop()
-        for u in parents[v]:
-            if u not in closed:
-                closed.add(u)
-                frontier.append(u)
-    return frozenset(closed)
+        for w in adjacency[frontier.pop()]:
+            if w not in closed:
+                closed.add(w)
+                frontier.append(w)
+    return closed
+
+
+def _unmarried(dag: Dag):
+    """Each co-parent pair (x, y), x < y, with no edge between them.
+
+    A pair with several common children comes once per child.
+    """
+    for v in dag.vertices:
+        for x, y in itertools.combinations(sorted(dag._parents[v]), 2):
+            if (x, y) not in dag.edges:
+                yield x, y
 
 
 def descendants(dag: Dag, v) -> frozenset:
     """Strict descendants of a vertex."""
-    children = dag._children
-    out = set()
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for w in children[u]:
-            if w not in out:
-                out.add(w)
-                frontier.append(w)
-    return frozenset(out)
+    return frozenset(_reach(dag._children, dag._children[v]))
 
 
 def d_separated(dag: Dag, a, b, s=()) -> bool:
@@ -142,28 +143,14 @@ def d_separated(dag: Dag, a, b, s=()) -> bool:
     two nonempty."""
     a, b, s = frozenset(a), frozenset(b), frozenset(s)
     _check_query(dag, a, b, s)
-    closure = _ancestral(dag, a | b | s)
-    parents = dag._parents
+    closure = _reach(dag._parents, a | b | s)
     adj = {v: set() for v in closure}
-    for u, v in dag.edges:
-        if u in closure and v in closure:
-            adj[u].add(v)
-            adj[v].add(u)
     for v in closure:
-        for x, y in itertools.combinations(sorted(parents[v]), 2):
+        # the closure is ancestral, so each family lies inside it
+        for x, y in itertools.combinations(dag._parents[v] | {v}, 2):
             adj[x].add(y)
             adj[y].add(x)
-    seen = set(a)
-    frontier = list(a)
-    while frontier:
-        u = frontier.pop()
-        if u in b:
-            return False
-        for w in adj[u]:
-            if w not in s and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return True
+    return not _reach({v: adj[v] - s for v in closure}, a) & b
 
 
 def d_separated_bayes_ball(dag: Dag, a, b, s=()) -> bool:
@@ -175,7 +162,7 @@ def d_separated_bayes_ball(dag: Dag, a, b, s=()) -> bool:
     a, b, s = frozenset(a), frozenset(b), frozenset(s)
     _check_query(dag, a, b, s)
     parents, children = dag._parents, dag._children
-    anc_s = _ancestral(dag, s)
+    anc_s = _reach(parents, s)
     queue = deque((v, "up") for v in a)
     visited = set()
     while queue:
@@ -217,12 +204,9 @@ def local_markov(dag: Dag, context=Context()) -> tuple:
 
 
 def moralize(dag: Dag) -> UndirectedGraph:
-    """Drop directions and marry all co-parents."""
-    parents = dag._parents
-    edges = set(dag.edges)
-    for v in dag.vertices:
-        edges.update(itertools.combinations(sorted(parents[v]), 2))
-    return UndirectedGraph(dag.vertices, frozenset(edges))
+    """Drop directions and marry all co-parents: the skeleton of one
+    ``directed_moralize`` pass."""
+    return UndirectedGraph(dag.vertices, dag.edges | set(_unmarried(dag)))
 
 
 def directed_moralize(dag: Dag):
@@ -231,12 +215,7 @@ def directed_moralize(dag: Dag):
     One simultaneous pass over the current graph; returns the new graph and
     the sorted tuple of edges added.
     """
-    parents = dag._parents
-    added = set()
-    for v in dag.vertices:
-        for x, y in itertools.combinations(sorted(parents[v]), 2):
-            if not dag.adjacent(x, y):
-                added.add((x, y))
+    added = set(_unmarried(dag))
     return Dag(dag.vertices, dag.edges | added), tuple(sorted(added))
 
 
@@ -259,12 +238,7 @@ def to_perfect(dag: Dag):
 
 def is_perfect(dag: Dag) -> bool:
     """Every parent set induces a complete subgraph."""
-    parents = dag._parents
-    return all(
-        dag.adjacent(x, y)
-        for v in dag.vertices
-        for x, y in itertools.combinations(sorted(parents[v]), 2)
-    )
+    return next(_unmarried(dag), None) is None
 
 
 def saturated_statements(dag, context=Context()) -> tuple:
@@ -393,26 +367,24 @@ def moralization_obstructions(dag: Dag, i, j) -> ObstructionReport:
     return ObstructionReport(i, j, tuple(case1), tuple(case2))
 
 
-def dag_to_dot(dag: Dag, label="") -> str:
-    """Deterministic DOT text for a directed graph."""
-    lines = ["digraph G {"]
+def _dot(kind, arrow, graph, label) -> str:
+    lines = [f"{kind} G {{"]
     if label:
         lines.append(f'  label="{label}";')
-    lines.extend(f"  {v};" for v in dag.vertices)
-    lines.extend(f"  {u} -> {v};" for u, v in dag.sorted_edges())
+    lines.extend(f"  {v};" for v in graph.vertices)
+    lines.extend(f"  {u} {arrow} {v};" for u, v in graph.sorted_edges())
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def dag_to_dot(dag: Dag, label="") -> str:
+    """Deterministic DOT text for a directed graph."""
+    return _dot("digraph", "->", dag, label)
 
 
 def undirected_to_dot(graph: UndirectedGraph, label="") -> str:
     """Deterministic DOT text for an undirected graph."""
-    lines = ["graph G {"]
-    if label:
-        lines.append(f'  label="{label}";')
-    lines.extend(f"  {v};" for v in graph.vertices)
-    lines.extend(f"  {u} -- {v};" for u, v in graph.sorted_edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("graph", "--", graph, label)
 
 
 def context_dag_to_dot(cdag: ContextDag) -> str:

@@ -197,10 +197,13 @@ def test_exponent_matrix_shape(fig3):
     assert set(marg) <= {0, 2}
 
 
-def test_fiber_bound_budget(chain):
+def test_fiber_bound_budget(chain, monkeypatch):
     matrix = exponent_matrix(chain)
+    # C(8 + 20, 8) = 3,108,105 tables exceed the 2,000,000 budget
+    assert len(matrix.outcomes) == 8
+    monkeypatch.setattr(algebra, "_tables", lambda *args: pytest.fail("built"))
     with pytest.raises(BoundTooLargeError):
-        fibers_connected(matrix, [], bound=5, table_budget=10)
+        fibers_connected(matrix, [], bound=20)
 
 
 def test_chain_fibers_connected_by_its_binomials(chain):

@@ -238,13 +238,27 @@ def test_the_parser_is_built_once():
 def test_a_usage_error_leaves_the_parser_usable(capsys):
     argv = ["verify", "--method", "sat", "--fiber-bound", "1", CHAIN]
     before = _run(capsys, *argv)
-    for bad in (["verify", "--method", "nope", CHAIN], ["no-such-command"]):
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        assert exc.value.code == 2
-        capsys.readouterr()
+    for bad in (
+        ["verify", "--method", "nope", CHAIN],
+        ["no-such-command"],
+        [],
+        ["validate"],
+        ["enumerate", "--cards", "-2,2"],
+        ["verify", CHAIN, "--trials", "x"],
+    ):
+        code, out, err = _run(capsys, *bad)
+        assert (code, out) == (1, ""), bad
+        assert json.loads(err)["error"]["type"] == "Usage", bad
     assert _run(capsys, *argv) == before
     assert before[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cstree")
 
 
 def test_missing_file_is_a_usage_error(capsys):

@@ -20,6 +20,7 @@ from cstree import (
     dag_to_dot,
     dag_to_json,
     dags_from_json,
+    descendants,
     directed_moralize,
     is_perfect,
     local_markov,
@@ -152,6 +153,16 @@ def test_perfect_iff_moralization_adds_nothing():
         step, added = directed_moralize(dag)
         assert is_perfect(dag) == (not added)
         assert dag.edges <= step.edges
+        # the moral graph is the skeleton of one directed pass
+        assert moralize(dag).edges == step.edges
+        closure = set(dag.edges)
+        while True:
+            longer = {(u, x) for u, w in closure for y, x in dag.edges if w == y}
+            if longer <= closure:
+                break
+            closure |= longer
+        for v in dag.vertices:
+            assert descendants(dag, v) == {w for u, w in closure if u == v}
         final, _ = to_perfect(dag)
         assert is_perfect(final)
 
@@ -275,7 +286,14 @@ def test_dot_output_is_stable():
     assert dag_to_dot(dag) == expected
     assert dag_to_dot(dag) == dag_to_dot(dag)
     moral = moralize(dag)
-    assert undirected_to_dot(moral).startswith("graph G {")
+    expected = "graph G {\n  1;\n  2;\n  3;\n  1 -- 2;\n  1 -- 3;\n  2 -- 3;\n}\n"
+    assert undirected_to_dot(moral) == expected
+    assert dag_to_dot(dag, label="X4=0") == (
+        'digraph G {\n  label="X4=0";\n  1;\n  2;\n  3;\n  1 -> 3;\n  2 -> 3;\n}\n'
+    )
+    assert undirected_to_dot(moral, label="m") == (
+        'graph G {\n  label="m";\n  1;\n  2;\n  3;\n  1 -- 2;\n  1 -- 3;\n  2 -- 3;\n}\n'
+    )
 
 
 def test_dag_json_round_trip():
