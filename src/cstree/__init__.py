@@ -118,13 +118,11 @@ from .bases import (
 )
 from .lab import (
     Classification,
-    EnumerationCursor,
     TheoremReport,
     check_theorem_p3,
     classify_p3,
     count_cstrees,
     enumerate_cstrees,
-    enumeration_cursor,
     find_nonperfect_balanced,
     random_cstree,
     random_dag,

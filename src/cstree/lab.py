@@ -11,20 +11,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    BudgetExceededError,
-    GapError,
-    NotP3Error,
-    OverlapError,
-    PreconditionError,
-)
+from .errors import BudgetExceededError, GapError, NotP3Error, PreconditionError
 from .graphs import Dag, is_perfect
 from .model import (
     Context,
     CStreeSpec,
     Stage,
     VariableSystem,
-    _resolve_stage,
+    _resolve_level,
     spec_to_json,
     stage_members,
     tree_of_dag,
@@ -39,14 +33,16 @@ def _subsets(positions):
         yield from itertools.combinations(positions, size)
 
 
-def _cylinders(system: VariableSystem, pos: int, uncovered: frozenset):
-    """The stages of layer ``pos`` around its lex-smallest uncovered vertex
-    whose members are all uncovered, with those members, in (size, lex)
-    context order.  A candidate's members come from per-position axes; its
-    context and stage are built only when it fits."""
-    v = min(uncovered)
+def _cylinders(system: VariableSystem, pos: int, uncovered, v):
+    """The stages of layer ``pos`` with least member ``v`` (zero at every
+    free position) and all members uncovered, with those members, in (size,
+    lex) context order.  A candidate's members come from per-position axes;
+    its context and stage are built only when it fits."""
+    nonzero = {i for i in range(pos) if v[i]}
     full = [range(d) for d in system.cards[:pos]]
     for fixed in _subsets(tuple(range(pos))):
+        if not nonzero.issubset(fixed):
+            continue
         axes = list(full)
         for i in fixed:
             axes[i] = (v[i],)
@@ -61,91 +57,59 @@ def _level_partitions(system: VariableSystem, pos: int):
 
     Splits on the lex-smallest uncovered vertex, trying every admissible
     cylinder around it in turn, so each partition appears once and the
-    order is deterministic.  The walk keeps its own stack, one entry per
-    stage chosen so far, so no recursion limit bounds a partition's size.
+    order is deterministic.  One uncovered set and the chosen stages are
+    changed in place and restored on the way back, and the next uncovered
+    vertex is found by advancing an index, so a partition costs time linear
+    in the layer's width.  The walk keeps its own stack, one entry per stage
+    chosen so far, so no recursion limit bounds a partition's size.
     """
-    layer = frozenset(system.level_vertices(pos))
-    stack = [((), layer, _cylinders(system, pos, layer))]
+    layer = list(system.level_vertices(pos))
+    uncovered = set(layer)
+    chosen = []
+    stack = [(0, _cylinders(system, pos, uncovered, layer[0]))]
     while stack:
-        prefix, uncovered, options = stack[-1]
+        i, options = stack[-1]
         option = next(options, None)
         if option is None:
             stack.pop()
+            if chosen:
+                uncovered |= chosen.pop()[1]
             continue
         stage, members = option
-        rest = uncovered - members
-        if rest:
-            stack.append((prefix + (stage,), rest, _cylinders(system, pos, rest)))
+        uncovered -= members
+        if uncovered:
+            chosen.append(option)
+            while layer[i] not in uncovered:
+                i += 1
+            stack.append((i, _cylinders(system, pos, uncovered, layer[i])))
         else:
-            yield prefix + (stage,)
+            yield (*(st for st, _ in chosen), stage)
+            uncovered |= members
 
 
 def validate_level_partition(system: VariableSystem, var: int, stages) -> tuple:
     """Check an explicit stage list partitions its layer.
 
     Raises Overlap on collisions, Gap on uncovered vertices, and the usual
-    cylinder errors for bad stages; returns the resolved stages.
+    stage errors for bad stages; returns the resolved stages.
     """
     pos = system.position(var)
-    resolved = [_resolve_stage(system, st) for st in stages]
-    covered = set()
-    for st in resolved:
-        members = set(stage_members(system, st))
-        if covered & members:
-            raise OverlapError(f"stage [{st.context}] overlaps earlier stages")
-        covered |= members
+    resolved = _resolve_level(system, var, stages)
+    covered = {m for st in resolved for m in stage_members(system, st)}
     missing = set(system.level_vertices(pos)) - covered
     if missing:
         raise GapError(f"layer {pos} vertices {sorted(missing)} are uncovered")
     return tuple(resolved)
 
 
-@dataclass
-class EnumerationCursor:
-    """Resumable enumeration state: per-level partition lists plus a flat
-    index into their product, decoded mixed-radix."""
+def _partitions(system: VariableSystem, max_trees) -> list:
+    """Every layer's partitions, drawn in turn under the budget.
 
-    system: VariableSystem
-    partitions: tuple
-    index: int = 0
-
-    @property
-    def total(self) -> int:
-        out = 1
-        for parts in self.partitions:
-            out *= len(parts)
-        return out
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.index
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> CStreeSpec:
-        if self.index >= self.total:
-            raise StopIteration
-        digits = []
-        idx = self.index
-        for parts in reversed(self.partitions):
-            idx, d = divmod(idx, len(parts))
-            digits.append(d)
-        digits.reverse()
-        self.index += 1
-        levels = tuple(self.partitions[k][d] for k, d in enumerate(digits))
-        return validate(CStreeSpec(self.system, levels))
-
-
-def enumeration_cursor(system: VariableSystem, max_trees=200_000) -> EnumerationCursor:
-    """The enumeration state of every staging of the system.
-
-    Draws each layer's partitions in turn and raises BudgetExceededError as
-    soon as the partitions drawn so far, times the earlier layers' counts,
-    exceed ``max_trees``: no layer is drawn past the budget.  A negative
-    budget raises PreconditionError, and a layer wider than the outcomes a
-    tree may compile to raises BudgetExceededError, before any layer is
-    drawn."""
+    Raises BudgetExceededError as soon as the partitions drawn so far, times
+    the earlier layers' counts, exceed ``max_trees``: no layer is drawn past
+    the budget.  A negative budget raises PreconditionError, and a layer
+    wider than the outcomes a tree may compile to raises
+    BudgetExceededError, before any layer is drawn."""
     if max_trees is not None and max_trees < 0:
         raise PreconditionError(f"budget must be non-negative, got {max_trees}")
     widest = math.prod(system.cards[:-1])
@@ -161,21 +125,25 @@ def enumeration_cursor(system: VariableSystem, max_trees=200_000) -> Enumeration
                 raise BudgetExceededError(
                     f"at least {total * len(parts)} stagings, budget is {max_trees}"
                 )
-        per_level.append(tuple(parts))
+        per_level.append(parts)
         total *= len(parts)
-    return EnumerationCursor(system, tuple(per_level))
+    return per_level
 
 
 def enumerate_cstrees(system: VariableSystem, max_trees=200_000):
-    """Every staging of the system, validated, in deterministic order.
+    """Every staging of the system, validated, in deterministic order: the
+    product of the layers' partitions, the last layer varying fastest.
 
     Refuses to start once the partition-count product exceeds the budget.
     """
-    return iter(enumeration_cursor(system, max_trees))
+    per_level = _partitions(system, max_trees)
+    return (
+        validate(CStreeSpec(system, levels)) for levels in itertools.product(*per_level)
+    )
 
 
 def count_cstrees(system: VariableSystem, max_trees=200_000) -> int:
-    return enumeration_cursor(system, max_trees).total
+    return math.prod(len(parts) for parts in _partitions(system, max_trees))
 
 
 def random_cstree(system: VariableSystem, rng) -> CStreeSpec:
@@ -184,10 +152,14 @@ def random_cstree(system: VariableSystem, rng) -> CStreeSpec:
     uniform, but every staging has positive probability."""
     levels = []
     for pos in range(system.p):
-        uncovered = frozenset(system.level_vertices(pos))
+        layer = list(system.level_vertices(pos))
+        uncovered = set(layer)
         stages = []
+        i = 0
         while uncovered:
-            options = tuple(_cylinders(system, pos, uncovered))
+            while layer[i] not in uncovered:
+                i += 1
+            options = tuple(_cylinders(system, pos, uncovered, layer[i]))
             stage, members = options[rng.randrange(len(options))]
             uncovered -= members
             stages.append(stage)

@@ -254,6 +254,26 @@ def _resolve_stage(system: VariableSystem, stage: Stage) -> Stage:
     return resolved
 
 
+def _resolve_level(system: VariableSystem, var: int, stages) -> list:
+    """The resolved stages listed under level ``var``.
+
+    Each must govern ``var`` (BadIndex) and resolve to a cylinder; two
+    cylinders of one layer are disjoint exactly when their contexts
+    conflict somewhere, so pairwise agreement raises Overlap.
+    """
+    resolved = []
+    for st in stages:
+        if st.level != var:
+            raise BadIndexError(f"stage for level {st.level} listed under level {var}")
+        resolved.append(_resolve_stage(system, st))
+    for a, b in itertools.combinations(resolved, 2):
+        if a.context.agrees_with(b.context):
+            raise OverlapError(
+                f"stages [{a.context}] and [{b.context}] at level {var} overlap"
+            )
+    return resolved
+
+
 def validate(tree: CStreeSpec) -> CStreeSpec:
     """Check the staging contract and return the canonical form.
 
@@ -261,25 +281,17 @@ def validate(tree: CStreeSpec) -> CStreeSpec:
     (NotACylinder) and are resolved; stage contexts may only pin earlier
     variables (BadIndex); listed stages at one level must be pairwise
     disjoint (Overlap), which for cylinders means their contexts conflict
-    somewhere.  Stages pinning every earlier variable are singletons and
-    are dropped from the listing.
+    somewhere.  More levels than variables raise BadIndex; fewer are legal,
+    an omitted level being all singletons.  Stages pinning every earlier
+    variable are singletons and are dropped from the listing.
     """
     system = tree.system
+    if len(tree.levels) > system.p:
+        raise BadIndexError(f"{len(tree.levels)} levels listed for {system.p} variables")
     new_levels = []
     for pos, var in enumerate(system.variables):
         stages = tree.levels[pos] if pos < len(tree.levels) else ()
-        resolved = []
-        for st in stages:
-            if st.level != var:
-                raise BadIndexError(
-                    f"stage for level {st.level} listed under level {var}"
-                )
-            resolved.append(_resolve_stage(system, st))
-        for a, b in itertools.combinations(resolved, 2):
-            if a.context.agrees_with(b.context):
-                raise OverlapError(
-                    f"stages [{a.context}] and [{b.context}] at level {var} overlap"
-                )
+        resolved = _resolve_level(system, var, stages)
         kept = tuple(
             sorted(
                 (s for s in resolved if len(s.context.items) < pos),

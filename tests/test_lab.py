@@ -1,17 +1,19 @@
 """Enumeration, random generation, classification, and the p=3 census."""
 
+import hashlib
 import json
 import random
 import sys
+import time
 
 import pytest
 
 import cstree.lab as lab
 from cstree import (
+    BadIndexError,
     BudgetExceededError,
     Context,
     Dag,
-    EnumerationCursor,
     GapError,
     NotP3Error,
     OverlapError,
@@ -22,7 +24,6 @@ from cstree import (
     classify_p3,
     count_cstrees,
     enumerate_cstrees,
-    enumeration_cursor,
     find_nonperfect_balanced,
     random_cstree,
     random_dag,
@@ -46,9 +47,19 @@ def test_a_layer_of_singletons_does_not_recurse():
     assert count_cstrees(VariableSystem((sys.getrecursionlimit() + 100, 2))) == 2
 
 
+def test_a_wide_layer_is_walked_in_linear_time():
+    # Each partition of a layer costs time linear in its width, so the
+    # 20,000 singletons of the second layer take well under a second.
+    started = time.perf_counter()
+    assert count_cstrees(VariableSystem((20_000, 2))) == 2
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1, f"a 20,000-vertex layer took {elapsed:.2f}s"
+
+
 def test_square_layer_has_eight_partitions():
-    cursor = enumeration_cursor(VariableSystem((2, 2, 2)))
-    assert [len(parts) for parts in cursor.partitions] == [1, 2, 8]
+    system = VariableSystem((2, 2, 2))
+    counts = [sum(1 for _ in lab._level_partitions(system, pos)) for pos in range(3)]
+    assert counts == [1, 2, 8]
 
 
 def test_budget_guard():
@@ -92,16 +103,16 @@ def test_enumeration_is_exhaustive_and_distinct():
     assert len(seen) == 16
 
 
-def test_cursor_resumes_mid_stream():
-    system = VariableSystem((2, 2, 2))
-    trees = list(enumerate_cstrees(system))
-    cursor = enumeration_cursor(system)
-    assert cursor.total == 16
-    for _ in range(5):
-        next(cursor)
-    assert cursor.remaining == 11
-    resumed = EnumerationCursor(system, cursor.partitions, index=7)
-    assert next(resumed) == trees[7]
+def test_enumeration_order_is_pinned():
+    digest = hashlib.sha256()
+    total = 0
+    for tree in enumerate_cstrees(VariableSystem((2, 2, 2, 2))):
+        digest.update((json.dumps(spec_to_json(tree), sort_keys=True) + "\n").encode())
+        total += 1
+    assert total == 2464
+    assert digest.hexdigest() == (
+        "acf53f2cbbc4b9e0131f827c9532015e53688d75bb2f68b143ea62a26ef0adde"
+    )
 
 
 def test_validate_level_partition():
@@ -116,6 +127,9 @@ def test_validate_level_partition():
         )
     with pytest.raises(GapError):
         validate_level_partition(system, 3, [Stage(3, Context.of({1: 0}))])
+    for stages in ([Stage(2, Context()), Stage(3, Context())], [Stage(2, Context())]):
+        with pytest.raises(BadIndexError, match="stage for level 2 listed under level 3"):
+            validate_level_partition(system, 3, stages)
 
 
 def test_random_cstree_varies_and_validates():

@@ -106,6 +106,14 @@ def test_context_key_must_precede_level():
         validate(raw)
 
 
+def test_levels_past_the_last_variable_rejected():
+    system = VariableSystem((2, 2))
+    raw = CStreeSpec(system, ((), (), (Stage(3, Context()),)))
+    with pytest.raises(BadIndexError, match="3 levels listed for 2 variables"):
+        validate(raw)
+    assert validate(CStreeSpec(system, ((),))) == CStreeSpec(system, ((), ()))
+
+
 def test_full_context_stages_are_dropped():
     system = VariableSystem((2, 2))
     raw = CStreeSpec(system, ((), (Stage(2, Context.of({1: 0})),)))
