@@ -490,6 +490,21 @@ def vanishes(tree: CStreeSpec, poly: SparsePoly) -> bool:
     return not any(acc.values())
 
 
+def _nonvanishing(tree: CStreeSpec, binomials):
+    """The binomials p_u1·p_u2 - p_v1·p_v2, given by their outcome pairs
+    ``plus`` and ``minus``, that do not vanish on the model, in order.
+    This is ``vanishes``' collapse step on packed keys with one compiled
+    lookup for the batch: two distinct path monomials never cancel, so a
+    binomial vanishes exactly when key(u1) + key(u2) == key(v1) + key(v2).
+    Each label occurs at most once per path, so a sum of two keys fits the
+    tables' fields."""
+    keys = _compile(tree).keys
+    for binomial in binomials:
+        (u1, u2), (v1, v2) = binomial.plus, binomial.minus
+        if keys[u1] + keys[u2] != keys[v1] + keys[v2]:
+            yield binomial
+
+
 def statement_holds(tree: CStreeSpec, statement: CsiStatement) -> bool:
     """Semantic ground truth: every minor of the statement vanishes on the
     model.  A saturated statement pins every variable in each cell, so its

@@ -102,11 +102,17 @@ def _splits(rest: int):
 
 
 def _rank_one(rows: list) -> bool:
-    """Whether every 2x2 minor of a table, given as its rows, vanishes."""
+    """Whether every 2x2 minor of a table of positive entries, given as its
+    rows, vanishes: checked on adjacent rows and adjacent columns only.
+    With every entry positive, a vanishing minor on rows r, r' and columns
+    c, c + 1 says r'[c] / r[c] = r'[c + 1] / r[c + 1], so adjacent rows are
+    proportional, hence all rows are, and the table has rank one.  A zero
+    entry breaks the argument: [[1, 0, 0], [0, 0, 1]] has no nonzero
+    adjacent minor, yet rank two."""
     return all(
-        r1[c1] * r2[c2] == r1[c2] * r2[c1]
-        for r1, r2 in itertools.combinations(rows, 2)
-        for c1, c2 in itertools.combinations(range(len(r1)), 2)
+        r1[c] * r2[c + 1] == r1[c + 1] * r2[c]
+        for r1, r2 in itertools.pairwise(rows)
+        for c in range(len(r1) - 1)
     )
 
 
@@ -258,7 +264,11 @@ class _Oracle:
         positions Z: a proof that A _||_ B holds in the slice at every
         parameter value.  Parents come before their children, so one
         descending pass closes A | B | Z under parents; A then must not
-        reach B in the moral graph of that closure without passing Z."""
+        reach B in the moral graph of that closure without passing Z.  The
+        walk need not stop at Z: a pinned position has free parents and no
+        children in a slice graph, so its moral neighbours are its parents,
+        married to each other, and the free position it was reached from
+        already reaches every one of them."""
         pinned = sum(1 << i for i, x in enumerate(vec) if x >= 0)
         closure = a | b | pinned
         parents = {}
@@ -276,7 +286,7 @@ class _Oracle:
             step = 0
             for i in _bits(frontier):
                 step |= adjacency[i]
-            frontier = step & ~pinned & ~reached
+            frontier = step & ~reached
             reached |= frontier
         return not reached & b
 
@@ -303,13 +313,10 @@ class _Oracle:
         g.  None is tied when g is empty, or when some pinned i has all of g
         proven in the wider cube (C - i, S + i): every candidate holds
         there, d-separation composing over its cross pairs, so i releases
-        it."""
-        p = self.p
-        within = 0
-        for i in _bits(rest):
-            within |= rest << (i * p)
+        it.  The pairs within ``rest`` are its cross pairs with itself: the
+        diagonal bits this adds are never set in a pair mask."""
         cube = _cube(vec, s)
-        g = self.pairs(cube) & within
+        g = self.pairs(cube) & _cross(rest, rest, self.p)
         return not g or any(
             not g & ~self.proven(cube[:i] + (-2,) + cube[i + 1 :]) for i in pinned
         )
@@ -364,8 +371,9 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     pair refutes it, a cube proving every cross pair proves it, and only
     the rest expand minors; the graphs come from ``context_dag``.
     Contexts leaving one variable free are never visited: they hold no
-    pair to tie, and they come last in the order.  The search runs once per compiled tree, which keeps its result,
-    so the bases, ``contexts`` and the census share it.
+    pair to tie, and they come last in the order.  The search runs once per
+    compiled tree, which keeps its result, so the bases, ``contexts`` and
+    the census share it.
     """
     compiled = _compile(tree)
     if compiled.minimal_contexts is None:

@@ -41,6 +41,7 @@ from cstree import (
     random_dag,
     random_point,
     saturated_statements,
+    spec_from_json,
     stage_members,
     statement_holds,
     statement_polynomials,
@@ -51,7 +52,7 @@ from cstree import (
 )
 from cstree import algebra
 from cstree import cli
-from cstree.algebra import _fields, _minor_cells, _tables, _unpack
+from cstree.algebra import _fields, _minor_cells, _nonvanishing, _tables, _unpack
 from cstree.cli import main
 from cstree.errors import UnbalancedError
 
@@ -61,6 +62,7 @@ from conftest import (
     fixture_path,
     load,
 )
+from test_cli import CENSUS_313
 
 
 @dataclass(frozen=True)
@@ -462,6 +464,30 @@ def test_binomials_agree_with_the_expansion_on_the_fixtures_bases():
                 verdicts.add(expected)
     # Every basis binomial of the fixtures lies in the ideal, fig1's too.
     assert verdicts == {True}
+
+
+def test_the_batch_key_test_agrees_with_vanishes_on_every_basis():
+    # The saturated and perfected bases, and the quad-lift one where the
+    # tree is balanced.  No fixture's basis holds a binomial off the model;
+    # census staging 313 and some of the random draws do.
+    rng = random.Random(2026)
+    trees = [load(name) for name in TREE_FIXTURES] + [spec_from_json(CENSUS_313)]
+    for _ in range(200):
+        cards = tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(2, 4)))
+        trees.append(random_cstree(VariableSystem(cards), rng))
+    verdicts = set()
+    for tree in trees:
+        for route in (markov_basis_saturated, perfect_context_basis, quad_lift_basis):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    basis = route(tree)
+            except UnbalancedError:
+                continue
+            expected = [b for b in basis if not vanishes(tree, b.to_poly())]
+            assert list(_nonvanishing(tree, basis)) == expected, (tree, route)
+            verdicts.update(b not in expected for b in basis)
+    assert verdicts == {True, False}
 
 
 def test_binomials_agree_with_the_expansion_on_three_label_stages():

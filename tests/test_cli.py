@@ -312,6 +312,23 @@ def test_contexts_oracle_disagreement_exits_2(capsys, tmp_path):
     ]
 
 
+def test_verify_symbolic_reports_the_first_nonvanishing_binomial(capsys, tmp_path):
+    # The graph of X3 = 0 claims false statements, so the saturated and the
+    # perfected bases each hold binomials off the model.
+    path = tmp_path / "census_313.json"
+    path.write_text(json.dumps(CENSUS_313))
+    for method in ("sat", "perfect"):
+        code, report = _report(
+            capsys, "verify", str(path), "--symbolic", "--method", method
+        )
+        assert code == 2
+        assert report["ok"] is False
+        entry = report["methods"][method]
+        assert entry["count"] == 17
+        assert entry["symbolic_vanishing"] is False
+        assert entry["symbolic_failure"] == "p0000*p1100 - p0100*p1000"
+
+
 def test_balance_exit_codes_and_witness(capsys):
     code, report = _report(capsys, "balance", FIG1, "--witness")
     assert code == 2

@@ -1,11 +1,14 @@
 """Context DAG extraction, minimal contexts, and the soundness audit."""
 
 import functools
+import importlib.util
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstree import (
     BadIndexError,
@@ -19,6 +22,7 @@ from cstree import (
     context_subtree,
     d_separated,
     dags_from_json,
+    enumerate_cstrees,
     local_markov,
     minimal_contexts,
     outcome_probabilities,
@@ -664,3 +668,72 @@ def test_search_without_slice_certificates_is_unchanged(monkeypatch):
     expected = [minimal_contexts(tree) for tree in trees]
     monkeypatch.setattr(contexts_module._Oracle, "_separated", lambda *args: False)
     assert [contexts_module._minimal_contexts(tree) for tree in trees] == expected
+
+
+def _all_minors_vanish(rows):
+    return all(
+        r1[c1] * r2[c2] == r1[c2] * r2[c1]
+        for r1, r2 in itertools.combinations(rows, 2)
+        for c1, c2 in itertools.combinations(range(len(r1)), 2)
+    )
+
+
+@st.composite
+def positive_tables(draw):
+    """A table of 2-4 rows and 2-4 columns of positive integers, half of
+    them outer products (rank one), the rest with entries small enough
+    that some minors vanish."""
+    shape = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        u, v = (draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)) for n in shape)
+        return [[x * y for y in v] for x in u]
+    row = st.lists(st.integers(1, 3), min_size=shape[1], max_size=shape[1])
+    return draw(st.lists(row, min_size=shape[0], max_size=shape[0]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(positive_tables())
+def test_adjacent_minors_decide_rank_one_on_positive_tables(rows):
+    assert contexts_module._rank_one(rows) == _all_minors_vanish(rows)
+
+
+def test_adjacent_minors_do_not_decide_rank_one_with_a_zero_entry():
+    # Every adjacent minor vanishes, yet the rows are not proportional:
+    # the adjacent rule needs the margin cube's entries to be positive.
+    rows = [[1, 0, 0], [0, 0, 1]]
+    assert contexts_module._rank_one(rows)
+    assert not _all_minors_vanish(rows)
+
+
+CENSUS_TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "census_p4.py"
+
+
+def _census_tool():
+    spec = importlib.util.spec_from_file_location("_census_p4", CENSUS_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_search_work_is_pinned():
+    # The census's work counters on a small corpus, every search run cold.
+    # A search that keeps the same contexts with more work, say ``released``
+    # without its wider-cube rule or ``holds`` without its proven-cube
+    # shortcut, moves these counts.
+    tool = _census_tool()
+    trees = [load(name) for name in GRAPH_FIXTURES]
+    for cards in ((2, 2, 2), (2, 3, 2)):
+        trees += enumerate_cstrees(VariableSystem(cards))
+    trees += [spec_from_json(CENSUS_361), spec_from_json(RELEASED_BY_X3)]
+    counts = dict.fromkeys(
+        ("search_symbolic_checks", "search_symbolic_refutations", "search_candidate_loops"),
+        0,
+    )
+    _compile.cache_clear()
+    for tree in trees:
+        tool.searched(tree, counts)
+    assert counts == {
+        "search_symbolic_checks": 27,
+        "search_symbolic_refutations": 0,
+        "search_candidate_loops": 56,
+    }

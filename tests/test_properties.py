@@ -5,6 +5,7 @@ Examples are derandomized, so every run draws the same ones.
 """
 
 import contextlib
+import copy
 import io
 import json
 import pathlib
@@ -99,3 +100,71 @@ def test_fuzzed_fixtures_fail_with_one_json_error(data):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error"}
+
+
+FIXTURE_DATA = [json.loads(data) for data in FIXTURE_BYTES]
+HOSTILE = (None, True, -1, 0, 3, 1.5, "x", "", [], {})
+DELETE = object()
+TREE_COMMANDS = (
+    ("validate",),
+    ("contexts", "--check-oracle"),
+    ("balance", "--witness"),
+    ("basis", "--method", "sat"),
+    ("basis", "--method", "quad-lift"),
+    ("basis", "--method", "perfect"),
+    ("verify", "--symbolic", "--fiber-bound", "1"),
+    ("subtree", "--context", "1=0"),
+    ("classify",),
+)
+
+
+def _node_paths(node, path=()):
+    """The key paths of every node below the root of a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A shipped fixture with one JSON node deleted or replaced by a
+    hostile value, and whether it holds DAGs."""
+    data = copy.deepcopy(draw(st.sampled_from(FIXTURE_DATA)))
+    dags = "dags" in data
+    *path, last = draw(st.sampled_from(list(_node_paths(data))))
+    parent = data
+    for key in path:
+        parent = parent[key]
+    value = draw(st.sampled_from(HOSTILE + (DELETE,)))
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return data, dags
+
+
+@settings(PROPERTY, max_examples=600)
+@given(mutated_fixtures())
+def test_mutated_fixtures_fail_with_one_json_error_in_every_subcommand(drawn):
+    data, dags = drawn
+    commands = TREE_COMMANDS + ((("moralize",),) if dags else ())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(data))
+        for command in commands:
+            argv = [command[0], str(path), *command[1:]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert out.getvalue() == "", argv
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, argv
+                assert set(json.loads(lines[0])) == {"error"}, argv

@@ -10,9 +10,10 @@ The counts are the paper's structure theorems on p = 4: every tree whose
 minimal-context graphs are all perfect is balanced, directed moralization
 keeps every independence of a balanced tree, and the saturated basis of a
 balanced tree connects its fibers, while on unbalanced trees the audit and
-the fiber sweep can fail.  Each saturated binomial is also decided with
-``vanishes``: the trees whose saturated basis holds a binomial that does
-not vanish are exactly the trees the audit flags (their symmetric
+the fiber sweep can fail.  Each saturated binomial is also decided on its
+outcomes' packed path keys (``algebra._nonvanishing``, the binomial case
+of ``vanishes``): the trees whose saturated basis holds a binomial that
+does not vanish are exactly the trees the audit flags (their symmetric
 difference is counted), and on balanced trees the saturated, quad-lift
 (``quad_lift_basis``) and perfected (``perfect_context_basis``) bases are
 one set of binomials, none of the quad-lift ones failing to vanish.  The
@@ -61,8 +62,8 @@ from cstree import (  # noqa: E402
     quad_lift_basis,
     separation_disagreements,
     to_perfect,
-    vanishes,
 )
+from cstree.algebra import _nonvanishing  # noqa: E402
 
 PINNED = {
     (2, 2, 2, 2): (
@@ -185,7 +186,7 @@ def census(cards: tuple) -> tuple:
             warnings.simplefilter("ignore", UnbalancedWarning)
             basis = markov_basis_saturated(tree)
         fibers = fibers_connected(exponent_matrix(tree), basis, bound=2)
-        nonvanishing = not all(vanishes(tree, b.to_poly()) for b in basis)
+        nonvanishing = next(_nonvanishing(tree, basis), None) is not None
         if balanced:
             quad = quad_lift_basis(tree)
             keys = {b.key() for b in basis}
@@ -194,7 +195,7 @@ def census(cards: tuple) -> tuple:
                 and keys == {b.key() for b in perfect_context_basis(tree)}
             )
             counts["balanced_nonvanishing_quad_lift"] += sum(
-                not vanishes(tree, b.to_poly()) for b in quad
+                1 for _ in _nonvanishing(tree, quad)
             )
         counts["trees"] += 1
         counts["balanced"] += balanced
