@@ -329,20 +329,16 @@ def _cmd_enumerate(args) -> int:
             f"--cards must be comma-separated integers, got {args.cards!r}"
         ) from None
     report = {"tool": "cstree", "version": __version__, "cards": list(cards)}
-    code = 0
     if args.census or args.classify:
-        census = check_theorem_p3(cards, args.budget)
+        census = check_theorem_p3(cards, args.budget).as_dict()
         if args.census:
-            report.update(census.as_dict())
-            if census.violations:
-                code = 2
+            report.update(census)
         else:
-            report["total"] = census.total
-            report["histogram"] = dict(sorted(census.histogram.items()))
+            report.update(total=census["total"], histogram=census["histogram"])
     else:
         report["total"] = count_cstrees(VariableSystem(cards), args.budget)
     _emit(report)
-    return code
+    return 2 if report.get("violations") else 0
 
 
 def _cmd_classify(args) -> int:

@@ -1,18 +1,23 @@
 """Exhaustive and randomized studies over small variable systems.
 
-Enumeration walks every staging of a system level by level; the three-
-variable classifier and the accompanying census check the structure theory
-on everything the budget allows.
+Enumeration walks every staging of a system level by level.  ``census``
+yields each staging as a ``Staging`` whose facts (balance, perfect graphs,
+the audit of the perfected graphs, the three bases and their checks) are
+decided on first read, so a census pays only for the facts it counts.  The
+three-variable report, the search for balanced trees with a non-perfect
+graph and the four-variable census tool fold their counts from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import BudgetExceededError, GapError, NotP3Error, PreconditionError
-from .graphs import Dag, is_perfect
+from .errors import BudgetExceededError, GapError, NotP3Error, PreconditionError, UnbalancedWarning
+from .graphs import ContextDag, Dag, is_perfect, to_perfect
 from .model import (
     Context,
     CStreeSpec,
@@ -24,8 +29,9 @@ from .model import (
     tree_of_dag,
     validate,
 )
-from .algebra import _MAX_OUTCOMES, is_balanced
-from .contexts import minimal_contexts
+from .algebra import _MAX_OUTCOMES, _nonvanishing, exponent_matrix, fibers_connected, is_balanced
+from .bases import markov_basis_saturated, perfect_context_basis, quad_lift_basis
+from .contexts import minimal_contexts, separation_disagreements
 
 
 def _subsets(positions):
@@ -144,6 +150,71 @@ def enumerate_cstrees(system: VariableSystem, max_trees=200_000):
 
 def count_cstrees(system: VariableSystem, max_trees=200_000) -> int:
     return math.prod(len(parts) for parts in _partitions(system, max_trees))
+
+
+class Staging:
+    """One staging of a census, each fact decided on its first read.
+
+    The bases are built with ``UnbalancedWarning`` ignored; ``quad_lift``
+    raises ``UnbalancedError`` on an unbalanced tree, as does
+    ``equal_bases``.  Minimal contexts are read through
+    ``minimal_contexts``, which keeps them on the compiled tree.
+    """
+
+    def __init__(self, tree: CStreeSpec):
+        self.tree = tree
+
+    @cached_property
+    def balanced(self) -> bool:
+        return is_balanced(self.tree)[0]
+
+    @cached_property
+    def all_perfect(self) -> bool:
+        return all(is_perfect(cd.dag) for cd in minimal_contexts(self.tree))
+
+    @cached_property
+    def disagrees(self) -> bool:
+        """Whether some perfected minimal-context graph claims a separation
+        the model refutes."""
+        cdags = minimal_contexts(self.tree)
+        perfected = [ContextDag(cd.context, to_perfect(cd.dag)[0]) for cd in cdags]
+        return bool(separation_disagreements(self.tree, perfected))
+
+    def _basis(self, build) -> tuple:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnbalancedWarning)
+            return build(self.tree)
+
+    @cached_property
+    def saturated(self) -> tuple:
+        return self._basis(markov_basis_saturated)
+
+    @cached_property
+    def perfected(self) -> tuple:
+        return self._basis(perfect_context_basis)
+
+    @cached_property
+    def quad_lift(self) -> tuple:
+        return self._basis(quad_lift_basis)
+
+    def connected(self, basis) -> bool:
+        """Whether ``basis`` connects every fiber at bound 2."""
+        return fibers_connected(exponent_matrix(self.tree), basis, bound=2).connected
+
+    def nonvanishing(self, basis) -> int:
+        """How many binomials of ``basis`` do not vanish on the model."""
+        return sum(1 for _ in _nonvanishing(self.tree, basis))
+
+    @property
+    def equal_bases(self) -> bool:
+        """Whether the three bases are one set of binomials."""
+        keys = {b.key() for b in self.saturated}
+        return keys == {b.key() for b in self.quad_lift} == {b.key() for b in self.perfected}
+
+
+def census(system: VariableSystem, max_trees=200_000):
+    """Every staging of the system as a ``Staging``, in enumeration order."""
+    return map(Staging, enumerate_cstrees(system, max_trees))
 
 
 def random_cstree(system: VariableSystem, rng) -> CStreeSpec:
@@ -278,27 +349,20 @@ def check_theorem_p3(cards=(2, 2, 2), max_trees=200_000) -> TheoremReport:
     if system.p != 3:
         raise NotP3Error(f"need exactly three variables, got {system.p}")
     report = TheoremReport()
-    violations = []
-    for tree in enumerate_cstrees(system, max_trees):
+    for st in census(system, max_trees):
         report.total += 1
-        balanced, _ = is_balanced(tree)
-        contexts = minimal_contexts(tree)
-        perfect = all(is_perfect(cd.dag) for cd in contexts)
-        if balanced:
-            report.balanced += 1
-        if perfect:
-            report.perfect_contexts += 1
-        if balanced != perfect:
-            violations.append(
+        report.balanced += st.balanced
+        report.perfect_contexts += st.all_perfect
+        if st.balanced != st.all_perfect:
+            report.violations += (
                 {
-                    "tree": spec_to_json(tree),
-                    "balanced": balanced,
-                    "perfect_contexts": perfect,
-                }
+                    "tree": spec_to_json(st.tree),
+                    "balanced": st.balanced,
+                    "perfect_contexts": st.all_perfect,
+                },
             )
-        kind = _classify(tree, contexts).kind
+        kind = _classify(st.tree, minimal_contexts(st.tree)).kind
         report.histogram[kind] = report.histogram.get(kind, 0) + 1
-    report.violations = tuple(violations)
     return report
 
 
@@ -310,9 +374,4 @@ def find_nonperfect_balanced(system: VariableSystem, max_trees=200_000):
     """
     if system.p < 4:
         raise PreconditionError("needs at least four variables")
-    for tree in enumerate_cstrees(system, max_trees):
-        balanced, _ = is_balanced(tree)
-        if not balanced:
-            continue
-        if any(not is_perfect(cd.dag) for cd in minimal_contexts(tree)):
-            yield tree
+    yield from (st.tree for st in census(system, max_trees) if st.balanced and not st.all_perfect)

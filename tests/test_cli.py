@@ -568,6 +568,15 @@ def test_subtree_pipes_into_validate(capsys, tmp_path):
     assert code == 0 and report["valid"]
 
 
+# sha256 of the stdout of ``enumerate --cards C --census`` and ``--classify``.
+ENUMERATE_REPORTS = {
+    ("2,2,2", "--census"): "b7f9d63b31ace3dc2bc69a5f468875f172aa060103fa8391d321d622e56a03b9",
+    ("2,2,2", "--classify"): "507ea911bd72c97f7752c901fb446b58d77b329bf0ad8afe82905a3d2dd1232d",
+    ("2,3,2", "--census"): "4b393925c82c58022f65aede1479bfbe6cfa170346858df92e7ba4448a5c886c",
+    ("2,3,2", "--classify"): "911340a1f9b6b1a1c2d0b4b1826a875119928f51c30c8cfef5f29d7e439533bb",
+}
+
+
 def test_enumerate_counts_and_census(capsys):
     code, report = _report(capsys, "enumerate", "--cards", "2,2,2")
     assert code == 0 and report["total"] == 16
@@ -578,6 +587,10 @@ def test_enumerate_counts_and_census(capsys):
     code, report = _report(capsys, "enumerate", "--cards", "2,2,2", "--classify")
     assert code == 0
     assert report["histogram"]["dag_tree"] == 8
+    for (cards, flag), expected in ENUMERATE_REPORTS.items():
+        code, out, _ = _run(capsys, "enumerate", "--cards", cards, flag)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (cards, flag)
 
 
 def test_enumerate_census_needs_three_variables(capsys):

@@ -209,5 +209,26 @@ def test_census_other_card_vectors():
 def test_find_nonperfect_balanced(fig3):
     with pytest.raises(PreconditionError):
         next(find_nonperfect_balanced(VariableSystem((2, 2, 2))))
-    first = next(find_nonperfect_balanced(VariableSystem((2, 2, 2, 2))))
-    assert first == fig3
+    found = list(find_nonperfect_balanced(VariableSystem((2, 2, 2, 2))))
+    assert len(found) == 4
+    assert found[0] == fig3
+
+
+def test_census_facts_are_decided_on_first_read(monkeypatch, fig3):
+    # The p = 3 report and the search for balanced trees with a non-perfect
+    # graph read balance and perfection only: no basis, fiber sweep or audit.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unread census fact was decided")
+
+    for name in (
+        "markov_basis_saturated",
+        "perfect_context_basis",
+        "quad_lift_basis",
+        "fibers_connected",
+        "separation_disagreements",
+    ):
+        monkeypatch.setattr(lab, name, refuse)
+    report = check_theorem_p3((2, 3, 2))
+    assert (report.total, report.balanced, report.perfect_contexts) == (24, 15, 15)
+    assert report.violations == ()
+    assert next(find_nonperfect_balanced(VariableSystem((2, 2, 2, 2)))) == fig3

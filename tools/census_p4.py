@@ -1,39 +1,18 @@
 """The full census of four variables as an exact gate.
 
-Every staging of the cards (2, 2, 2, 2), or of another cards vector given
-with ``--cards``, goes through ``is_balanced``,
-``minimal_contexts`` and ``is_perfect``, and each minimal-context graph is
-perfected with ``to_perfect`` and audited with
-``separation_disagreements``.  The saturated basis
-(``markov_basis_saturated``) is swept with ``fibers_connected`` at bound 2.
-The counts are the paper's structure theorems on p = 4: every tree whose
-minimal-context graphs are all perfect is balanced, directed moralization
-keeps every independence of a balanced tree, and the saturated basis of a
-balanced tree connects its fibers, while on unbalanced trees the audit and
-the fiber sweep can fail.  Each saturated binomial is also decided on its
-outcomes' packed path keys (``algebra._nonvanishing``, the binomial case
-of ``vanishes``): the trees whose saturated basis holds a binomial that
-does not vanish are exactly the trees the audit flags (their symmetric
-difference is counted), and on balanced trees the saturated, quad-lift
-(``quad_lift_basis``) and perfected (``perfect_context_basis``) bases are
-one set of binomials, none of the quad-lift ones failing to vanish.  The
-census also counts the statements the minimal-context search expands
-symbolically (``statement_holds`` calls made inside ``minimal_contexts``;
-the audit's are not counted) and those of them that are false: every
-other statement the search decides is refuted by a pair screen or proved
-on its cube's slice graphs.  It counts too the (context, S) visits that
-the search's pair masks do not release and that reach its candidate loop
-(``_Oracle.by_candidates``).  The counts alone let a search change move
-contexts unseen, so the census also pins a sha256 over every tree's
-minimal contexts: one line per tree, in enumeration order, of each
-context's string and its graph's sorted edges.
+Folds ``cstree.lab.census`` over every staging of the cards (2, 2, 2, 2),
+or of another cards vector in ``PINNED`` given with ``--cards``, and pins
+each count.  The tool itself counts the work of the minimal-context search
+(``searched``: its ``statement_holds`` calls, those of them that return
+False, and its ``_Oracle.by_candidates`` loops) and keeps a sha256 over
+every tree's minimal contexts, one line per tree in enumeration order, of
+each context's string and its graph's sorted edges, since the counts
+alone let a search change move contexts unseen.
 
 Usage: python3 tools/census_p4.py [--cards 3,2,2,2]
 
-Each cards vector in ``PINNED`` has its own counts and digest; the
-ternary censuses take five to ten times the binary one.  Prints the
-counts, the contexts digest and the time as one JSON object and exits 1
-unless every count and the digest equal their pinned values.
+Prints the counts, the contexts digest and the time as one JSON object and
+exits 1 unless every count and the digest equal their pinned values.
 """
 
 import argparse
@@ -42,28 +21,12 @@ import json
 import pathlib
 import sys
 import time
-import warnings
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from cstree import VariableSystem, minimal_contexts  # noqa: E402
 from cstree import contexts as contexts_module  # noqa: E402
-from cstree import (  # noqa: E402
-    ContextDag,
-    UnbalancedWarning,
-    VariableSystem,
-    enumerate_cstrees,
-    exponent_matrix,
-    fibers_connected,
-    is_balanced,
-    is_perfect,
-    markov_basis_saturated,
-    minimal_contexts,
-    perfect_context_basis,
-    quad_lift_basis,
-    separation_disagreements,
-    to_perfect,
-)
-from cstree.algebra import _nonvanishing  # noqa: E402
+from cstree.lab import census  # noqa: E402
 
 PINNED = {
     (2, 2, 2, 2): (
@@ -79,6 +42,9 @@ PINNED = {
             "nonvanishing_apart_from_audit": 0,
             "balanced_with_equal_bases": 357,
             "balanced_nonvanishing_quad_lift": 0,
+            "unbalanced_perfected_with_nonvanishing": 220,
+            "unbalanced_perfected_with_disconnected_fibers": 94,
+            "unbalanced_perfected_passing_both": 1793,
             "search_symbolic_checks": 12,
             "search_symbolic_refutations": 0,
             "search_candidate_loops": 5184,
@@ -98,6 +64,9 @@ PINNED = {
             "nonvanishing_apart_from_audit": 0,
             "balanced_with_equal_bases": 1803,
             "balanced_nonvanishing_quad_lift": 0,
+            "unbalanced_perfected_with_nonvanishing": 792,
+            "unbalanced_perfected_with_disconnected_fibers": 2859,
+            "unbalanced_perfected_passing_both": 11646,
             "search_symbolic_checks": 42,
             "search_symbolic_refutations": 0,
             "search_candidate_loops": 54230,
@@ -117,6 +86,9 @@ PINNED = {
             "nonvanishing_apart_from_audit": 0,
             "balanced_with_equal_bases": 1803,
             "balanced_nonvanishing_quad_lift": 0,
+            "unbalanced_perfected_with_nonvanishing": 792,
+            "unbalanced_perfected_with_disconnected_fibers": 2859,
+            "unbalanced_perfected_passing_both": 11646,
             "search_symbolic_checks": 42,
             "search_symbolic_refutations": 0,
             "search_candidate_loops": 54230,
@@ -136,6 +108,9 @@ PINNED = {
             "nonvanishing_apart_from_audit": 0,
             "balanced_with_equal_bases": 1029,
             "balanced_nonvanishing_quad_lift": 0,
+            "unbalanced_perfected_with_nonvanishing": 2040,
+            "unbalanced_perfected_with_disconnected_fibers": 3262,
+            "unbalanced_perfected_passing_both": 5469,
             "search_symbolic_checks": 12,
             "search_symbolic_refutations": 0,
             "search_candidate_loops": 33536,
@@ -171,40 +146,32 @@ def searched(tree, counts: dict) -> tuple:
         contexts_module._Oracle.by_candidates = loop
 
 
-def census(cards: tuple) -> tuple:
+def counted_census(cards: tuple) -> tuple:
     """The counts and the hex sha256 of the minimal contexts."""
     counts = dict.fromkeys(PINNED[cards][0], 0)
     digest = hashlib.sha256()
-    for tree in enumerate_cstrees(VariableSystem(cards)):
-        balanced, _ = is_balanced(tree)
-        cdags = searched(tree, counts)
-        line = [(str(cd.context), cd.dag.sorted_edges()) for cd in cdags]
+    for st in census(VariableSystem(cards)):
+        # The search runs here, counted; every later fact reads its result.
+        line = [(str(cd.context), cd.dag.sorted_edges()) for cd in searched(st.tree, counts)]
         digest.update(f"{line}\n".encode())
-        perfected = [ContextDag(cd.context, to_perfect(cd.dag)[0]) for cd in cdags]
-        disagrees = bool(separation_disagreements(tree, perfected))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnbalancedWarning)
-            basis = markov_basis_saturated(tree)
-        fibers = fibers_connected(exponent_matrix(tree), basis, bound=2)
-        nonvanishing = next(_nonvanishing(tree, basis), None) is not None
-        if balanced:
-            quad = quad_lift_basis(tree)
-            keys = {b.key() for b in basis}
-            counts["balanced_with_equal_bases"] += (
-                keys == {b.key() for b in quad}
-                and keys == {b.key() for b in perfect_context_basis(tree)}
-            )
-            counts["balanced_nonvanishing_quad_lift"] += sum(
-                1 for _ in _nonvanishing(tree, quad)
-            )
+        nonvanishing = st.nonvanishing(st.saturated) > 0
+        if st.balanced:
+            counts["balanced_with_equal_bases"] += st.equal_bases
+            counts["balanced_nonvanishing_quad_lift"] += st.nonvanishing(st.quad_lift)
+        else:
+            vanishing = st.nonvanishing(st.perfected) == 0
+            connected = st.connected(st.perfected)
+            counts["unbalanced_perfected_with_nonvanishing"] += not vanishing
+            counts["unbalanced_perfected_with_disconnected_fibers"] += not connected
+            counts["unbalanced_perfected_passing_both"] += vanishing and connected
         counts["trees"] += 1
-        counts["balanced"] += balanced
-        counts["all_graphs_perfect"] += all(is_perfect(cd.dag) for cd in cdags)
-        key = "balanced" if balanced else "unbalanced"
-        counts[f"{key}_with_disagreements"] += disagrees
-        counts[f"{key}_with_disconnected_fibers"] += not fibers.connected
+        counts["balanced"] += st.balanced
+        counts["all_graphs_perfect"] += st.all_perfect
+        key = "balanced" if st.balanced else "unbalanced"
+        counts[f"{key}_with_disagreements"] += st.disagrees
+        counts[f"{key}_with_disconnected_fibers"] += not st.connected(st.saturated)
         counts["saturated_with_nonvanishing"] += nonvanishing
-        counts["nonvanishing_apart_from_audit"] += nonvanishing != disagrees
+        counts["nonvanishing_apart_from_audit"] += nonvanishing != st.disagrees
     return counts, digest.hexdigest()
 
 
@@ -223,7 +190,7 @@ def main() -> int:
     cards = parser.parse_args().cards
     expected, expected_sha256 = PINNED[cards]
     start = time.perf_counter()
-    counts, contexts_sha256 = census(cards)
+    counts, contexts_sha256 = counted_census(cards)
     elapsed = time.perf_counter() - start
     wrong = {k: (v, expected[k]) for k, v in counts.items() if v != expected[k]}
     if contexts_sha256 != expected_sha256:
