@@ -3,14 +3,17 @@
 A tree's monomial parametrization sends each outcome coordinate p_x to the
 product of edge labels along the root-to-leaf path of x.  Each validated
 tree is compiled once (``_compile``, the module's single tree-keyed cache)
-into integer form: label ids in ``tree_labels`` order, each outcome's
-path-label ids, and polynomials as ``dict[int, int]`` keyed by packed
-monomials, one ``_WIDTH``-bit exponent field per label id (label i's
-exponent sits at bit ``_WIDTH * i``), so a product of monomials is the sum
-of their keys.  The compiled form carries each outcome's packed path
-monomial (``keys``), two derived tables, and two slots it fills once: the
-tree's minimal contexts, which ``contexts.minimal_contexts`` fills on its
-first search, and the default ``is_balanced`` verdict.  The tables:
+into integer form, in one pass over its layers: label ids in
+``tree_labels`` order, each vertex's first label id, each stage's member
+vertices, each outcome's path-label ids, and polynomials as
+``dict[int, int]`` keyed by packed monomials, one ``_WIDTH``-bit exponent
+field per label id (label i's exponent sits at bit ``_WIDTH * i``), so a
+product of monomials is the sum of their keys.  Everything else the
+compiled form holds is derived on first read (cached properties): each
+outcome's packed path monomial (``keys``), the default ``is_balanced``
+verdict (``balance``), the stage-line bitsets, and two tables.  One slot
+remains, filled from outside: the tree's minimal contexts, which
+``contexts.minimal_contexts`` fills on its first search.  The tables:
 
 - the interpolants, per vertex the sum of its below-path label products,
   in the plain label ring (balance);
@@ -34,9 +37,10 @@ statement, whose minors are binomials, on keys, and any other in factored
 form, M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the same ring
 homomorphism applied before the product instead of after, so the verdict
 stays exact and symbolic.  ``statement_zero_at`` evaluates the minors at
-one point instead: the reference screen.  The minimal-context search
-screens from its own integer tables at ``_integer_probabilities``, a
-positive integer multiple of the same point.  ``SparsePoly`` and
+one point instead: the reference screen.  The library itself evaluates
+only at ``_integer_probabilities``, the outcome table of ``random_point``
+times one positive integer: the minimal-context search screens at seed 0,
+and ``verify``'s random vanishing at the seeds it draws.  ``SparsePoly`` and
 ``Monomial`` remain the public types; results are converted at the API
 edge.
 
@@ -126,11 +130,20 @@ _MAX_OUTCOMES = 1 << 20
 
 
 class _Compiled:
-    """One validated tree in integer form.
+    """One validated tree in integer form, built in one pass over the
+    layers.
 
-    A stage's labels get consecutive ids, so the label of vertex v and
-    outcome o is ``first[k][v] + o`` at depth k, and ids grow with the
-    level: a path's ids come out sorted.
+    Per depth k: ``first[k]`` maps each vertex to its stage's first label
+    id, the vertices in lex (``itertools.product``) order, so its values
+    read off layer k's vertices in product order; ``stages[k]`` maps each
+    stage's first label id to its member vertices in lex order, the ids
+    ascending (the stages' context order).  ``paths`` maps each outcome,
+    in lex order, to its path's label ids.  A stage's labels get
+    consecutive ids, so the label of vertex v and outcome o is
+    ``first[k][v] + o``, and ids grow with the level: a path's ids come out
+    sorted.  The default balance verdict is the cached property
+    ``balance``; ``minimal_contexts`` is the one slot, filled by
+    ``contexts.minimal_contexts``.
     """
 
     def __init__(self, tree: CStreeSpec):
@@ -138,30 +151,27 @@ class _Compiled:
         outcomes = math.prod(system.cards)
         if outcomes > _MAX_OUTCOMES:
             raise BudgetExceededError(f"{outcomes} outcomes, budget is {_MAX_OUTCOMES}")
-        labels = []
-        self.first = []
-        for k, var in enumerate(system.variables):
+        labels, self.first, self.stages = [], [], []
+        paths = {(): ()}
+        for var, d in zip(system.variables, system.cards):
             smap = level_stage_map(tree, var)
             start = {}
             for stage in sorted(set(smap.values()), key=lambda s: s.context.items):
                 start[stage] = len(labels)
-                labels.extend(edge_label(stage, o) for o in range(system.cards[k]))
-            self.first.append({v: start[stage] for v, stage in smap.items()})
+                labels.extend(edge_label(stage, o) for o in range(d))
+            first, members, below = {}, {i: [] for i in start.values()}, {}
+            for v, stage in smap.items():
+                i = first[v] = start[stage]
+                members[i].append(v)
+                below.update((v + (o,), paths[v] + (i + o,)) for o in range(d))
+            self.first.append(first)
+            self.stages.append(members)
+            paths = below
         self.system = system
         self.labels = tuple(labels)
-        paths = {(): ()}
-        for k, d in enumerate(system.cards):
-            first = self.first[k]
-            paths = {
-                v + (o,): ids + (first[v] + o,)
-                for v, ids in paths.items()
-                for o in range(d)
-            }
         self.paths = paths
         # Filled by contexts.minimal_contexts, which this module cannot import.
         self.minimal_contexts = None
-        # Filled by the first default is_balanced call.
-        self.balance = None
 
     @cached_property
     def keys(self) -> dict:
@@ -172,28 +182,22 @@ class _Compiled:
         }
 
     @cached_property
-    def stages(self) -> list:
-        """Per depth k, compiled stage id -> its member vertices in lex
-        order, ids ascending (the stages' context order)."""
-        out = []
-        for first in self.first:
-            members = {}
-            for v, i in first.items():
-                members.setdefault(i, []).append(v)
-            out.append(dict(sorted(members.items())))
-        return out
+    def balance(self) -> tuple:
+        """The default ``is_balanced`` verdict, decided on first read."""
+        return _balance(self, False)
 
     @cached_property
     def lines(self) -> list:
         """Per depth j, the stage-line rule as bitsets over j's layer, bit n
-        for the n-th vertex in product order: ``(varies, eq)``, where
+        for the n-th vertex in product order, the order of ``first[j]``:
+        ``(varies, eq)``, where
         ``varies[i]`` flags every vertex whose i-line (the vertices differing
         from it only in coordinate i) carries two stage ids and ``eq[k][c]``
         flags the vertices with x_k = c."""
         cards = self.system.cards
         out = []
         for j, ids in enumerate(self.first):
-            row = [ids[v] for v in itertools.product(*map(range, cards[:j]))]
+            row = list(ids.values())
             size = stride = len(row)
             varies, eq = [], []
             for d in cards[:j]:
@@ -238,12 +242,12 @@ class _Compiled:
         one = {0: 1}
         tables = [None] * system.p + [{x: one for x in self.paths}]
         for k in range(system.p - 1, -1, -1):
-            first, below = self.first[k], tables[k + 1]
+            below, d = tables[k + 1], system.cards[k]
             layer = {}
-            for v in system.level_vertices(k):
+            for v, i in self.first[k].items():
                 poly = {}
-                for o in range(system.cards[k]):
-                    bit = 1 << _WIDTH * (first[v] + o)
+                for o in range(d):
+                    bit = 1 << _WIDTH * (i + o)
                     poly.update((bit + m, c) for m, c in below[v + (o,)].items())
                 layer[v] = poly
             tables[k] = layer
@@ -263,6 +267,19 @@ class _Compiled:
 @lru_cache(maxsize=64)
 def _compile(tree: CStreeSpec) -> _Compiled:
     return _Compiled(tree)
+
+
+def _vertex(compiled: _Compiled, vertex, outcome=False) -> tuple:
+    """``vertex`` as a tuple, checked before any table is read: one of the
+    tree's vertices, or with ``outcome`` one of its full outcomes, or
+    BadIndexError."""
+    vertex = tuple(vertex)
+    k = len(vertex)
+    layer = compiled.paths if outcome or k >= compiled.system.p else compiled.first[k]
+    if vertex not in layer:
+        kind = "an outcome" if outcome else "a vertex"
+        raise BadIndexError(f"{vertex} is not {kind} of the tree")
+    return vertex
 
 
 def _product_into(acc: dict, f: dict, g: dict, sign: int) -> dict:
@@ -291,14 +308,15 @@ def tree_labels(tree: CStreeSpec) -> tuple:
 def psi_monomial(tree: CStreeSpec, outcome) -> Monomial:
     """Image of the coordinate p_x: the label product along x's path."""
     compiled = _compile(tree)
-    return Monomial.of(*(compiled.labels[i] for i in compiled.paths[tuple(outcome)]))
+    ids = compiled.paths[_vertex(compiled, outcome, outcome=True)]
+    return Monomial.of(*(compiled.labels[i] for i in ids))
 
 
 def interpolant(tree: CStreeSpec, vertex) -> SparsePoly:
     """Sum over completions of the vertex of its below-path label products;
-    leaves give 1."""
-    vertex = tuple(vertex)
+    leaves give 1.  A vertex outside the tree raises BadIndexError."""
     compiled = _compile(tree)
+    vertex = _vertex(compiled, vertex)
     poly = compiled.interpolants[len(vertex)][vertex]
     return SparsePoly(
         {
@@ -363,11 +381,7 @@ def is_balanced(tree: CStreeSpec, audit_all_pairs=False):
     runs in full on every call.
     """
     compiled = _compile(tree)
-    if not audit_all_pairs:
-        if compiled.balance is None:
-            compiled.balance = _balance(compiled, False)
-        return compiled.balance
-    return _balance(compiled, True)
+    return _balance(compiled, True) if audit_all_pairs else compiled.balance
 
 
 def _balance(compiled: _Compiled, audit_all_pairs: bool) -> tuple:
@@ -459,16 +473,15 @@ def vanishes(tree: CStreeSpec, poly: SparsePoly) -> bool:
     every binomial the way the fiber sweep's move test does.  Three or more
     are expanded to the zero polynomial; a term of degree d has label
     exponents up to d, so the fields are at least d's bit length wide.
-    Exact, no sampling involved.
+    Exact, no sampling involved.  A coordinate that is not an outcome of the
+    tree raises BadIndexError.
     """
     compiled = _compile(tree)
+    outcomes = {_vertex(compiled, x, outcome=True) for x in poly.variables()}
     width = poly.degree.bit_length()
     keys = compiled.keys
     if width > _WIDTH:
-        keys = {
-            x: _widen(keys[x], width)
-            for x in {tuple(x) for mono in poly.terms for x in mono.variables()}
-        }
+        keys = {x: _widen(keys[x], width) for x in outcomes}
     sums = {}
     for mono, coef in poly.terms.items():
         key = sum(keys[tuple(x)] * e for x, e in mono.powers)
@@ -552,9 +565,12 @@ def random_point(tree: CStreeSpec, seed=0) -> dict:
     return point
 
 
-def _integer_probabilities(tree: CStreeSpec) -> dict:
-    """``outcome_probabilities(tree, random_point(tree))`` times one
-    positive integer, in integer arithmetic.
+def _integer_probabilities(tree: CStreeSpec, seed=0) -> dict:
+    """``outcome_probabilities(tree, random_point(tree, seed))`` times one
+    positive integer, in integer arithmetic: the one exact outcome table the
+    library evaluates at.  A binomial's two sides both scale by the
+    integer's square, so each vanishes here exactly when it vanishes at
+    ``random_point(tree, seed)``.
 
     A label weighs its numerator times L ÷ its stage's total, where L is the
     lcm of the stage totals of its level: the label's value times L.  An
@@ -562,7 +578,7 @@ def _integer_probabilities(tree: CStreeSpec) -> dict:
     same product of the levels' L."""
     compiled = _compile(tree)
     weights = [0] * len(compiled.labels)
-    for draws in _stage_draws(compiled, 0):
+    for draws in _stage_draws(compiled, seed):
         lcm = math.lcm(*(sum(nums) for _, nums in draws))
         for ids, nums in draws:
             scale = lcm // sum(nums)
@@ -701,7 +717,8 @@ def fibers_connected(matrix: ExponentMatrix, moves, bound=2) -> FiberReport:
     the table nonnegative.  A disconnected fiber is reported through two
     tables from different components.  A negative bound raises
     PreconditionError, one whose tables outnumber ``_TABLE_BUDGET``
-    (2,000,000) BoundTooLargeError.
+    (2,000,000) BoundTooLargeError, and a move naming an outcome outside
+    the matrix BadIndexError, each before any table is built.
 
     Tables and marginals are packed with one ``bound.bit_length()``-bit
     field per outcome or label, which no count up to the bound overflows,
@@ -724,15 +741,6 @@ def fibers_connected(matrix: ExponentMatrix, moves, bound=2) -> FiberReport:
     units = _fields(width, n)
     rows = _fields(width, len(matrix.labels))
     columns = [sum(rows[r] for r in col) for col in matrix.columns]
-    marginals, tables, by_total = [], [], []
-    for total in range(bound + 1):
-        start = len(tables)
-        for marginal, table in _tables(total, units, columns):
-            marginals.append(marginal)
-            tables.append(table)
-        by_total.append(tables[start:])
-    ids = dict(zip(tables, range(len(tables))))
-    fiber_count = len(set(marginals))
     unit = dict(zip(matrix.outcomes, units))
     column = dict(zip(matrix.outcomes, columns))
     # Each move once for both directions: (size, take, give), take < give.
@@ -741,6 +749,8 @@ def fibers_connected(matrix: ExponentMatrix, moves, bound=2) -> FiberReport:
         vec = {}
         for pair, sign in ((move.plus, 1), (move.minus, -1)):
             for x in pair:
+                if x not in unit:
+                    raise BadIndexError(f"a move names {x}, not an outcome")
                 vec[x] = vec.get(x, 0) + sign
         size = max(
             sum(d for d in vec.values() if d > 0),
@@ -751,6 +761,15 @@ def fibers_connected(matrix: ExponentMatrix, moves, bound=2) -> FiberReport:
             give = sum(unit[x] * d for x, d in vec.items() if d > 0)
             take = sum(unit[x] * -d for x, d in vec.items() if d < 0)
             joins.add((size, min(take, give), max(take, give)))
+    marginals, tables, by_total = [], [], []
+    for total in range(bound + 1):
+        start = len(tables)
+        for marginal, table in _tables(total, units, columns):
+            marginals.append(marginal)
+            tables.append(table)
+        by_total.append(tables[start:])
+    ids = dict(zip(tables, range(len(tables))))
+    fiber_count = len(set(marginals))
     parent = list(range(len(tables)))
 
     def find(i):

@@ -47,12 +47,11 @@ from .graphs import (
 )
 from .algebra import (
     _check_fiber_bound,
+    _integer_probabilities,
     _nonvanishing,
     exponent_matrix,
     fibers_connected,
     is_balanced,
-    outcome_probabilities,
-    random_point,
 )
 from .contexts import minimal_contexts, separation_disagreements
 from .bases import (
@@ -211,6 +210,18 @@ def _cmd_basis(args) -> int:
     return 0
 
 
+def _random_failures(tree, basis, seeds):
+    """The basis binomials that do not vanish on the integer outcome table of
+    each seed in turn.  A seed is drawn only when its table is needed, so
+    the draws stop at the first failure."""
+    for seed in seeds:
+        probs = _integer_probabilities(tree, seed)
+        for binomial in basis:
+            (u1, u2), (v1, v2) = binomial.plus, binomial.minus
+            if probs[u1] * probs[u2] != probs[v1] * probs[v2]:
+                yield binomial
+
+
 def _cmd_verify(args) -> int:
     tree, report = _load_tree(args.fixture)
     names = list(_METHODS) if args.method == "all" else [args.method]
@@ -243,28 +254,18 @@ def _cmd_verify(args) -> int:
             warnings.simplefilter("ignore")
             basis = _METHODS[name](tree)
         entry = {"count": len(basis)}
+        checks = {}
         if run_random:
-            ok = True
-            for _ in range(args.trials):
-                point = random_point(tree, rng.randrange(1 << 30))
-                probs = outcome_probabilities(tree, point)
-                for binomial in basis:
-                    (u1, u2), (v1, v2) = binomial.plus, binomial.minus
-                    if probs[u1] * probs[u2] != probs[v1] * probs[v2]:
-                        ok = False
-                        entry["random_failure"] = binomial.as_text()
-                        break
-                if not ok:
-                    break
-            entry["random_vanishing"] = ok
-            all_ok = all_ok and ok
+            seeds = (rng.randrange(1 << 30) for _ in range(args.trials))
+            checks["random"] = _random_failures(tree, basis, seeds)
         if args.symbolic:
-            failure = next(_nonvanishing(tree, basis), None)
-            ok = failure is None
-            if not ok:
-                entry["symbolic_failure"] = failure.as_text()
-            entry["symbolic_vanishing"] = ok
-            all_ok = all_ok and ok
+            checks["symbolic"] = _nonvanishing(tree, basis)
+        for kind, failures in checks.items():
+            failure = next(failures, None)
+            if failure is not None:
+                entry[f"{kind}_failure"] = failure.as_text()
+            entry[f"{kind}_vanishing"] = failure is None
+            all_ok = all_ok and failure is None
         moves = frozenset(binomial.key() for binomial in basis)
         if moves not in sweeps:
             sweeps[moves] = fibers_connected(matrix, basis, bound=bound)

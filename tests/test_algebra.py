@@ -23,6 +23,7 @@ from cstree import (
     VariableSystem,
     all_contexts,
     balanced_pair,
+    canonical_binomial,
     dag_from_json,
     edge_label,
     exponent_matrix,
@@ -52,7 +53,14 @@ from cstree import (
 )
 from cstree import algebra
 from cstree import cli
-from cstree.algebra import _fields, _minor_cells, _nonvanishing, _tables, _unpack
+from cstree.algebra import (
+    _fields,
+    _integer_probabilities,
+    _minor_cells,
+    _nonvanishing,
+    _tables,
+    _unpack,
+)
 from cstree.cli import main
 from cstree.errors import UnbalancedError
 
@@ -110,6 +118,39 @@ def test_balanced_verdicts(fig1, fig3, fig4, fig5_tree, chain):
     assert witness.pair == ((0,), (1,))
     assert witness.outcomes == (0, 1)
     assert "(0,)" in str(witness)
+
+
+_OUTSIDE_THE_TREE = {
+    "interpolant-value": lambda fig3, chain: interpolant(fig3, (5,)),
+    "interpolant-depth": lambda fig3, chain: interpolant(fig3, (0,) * 6),
+    "psi-prefix": lambda fig3, chain: psi_monomial(fig3, (0, 0)),
+    "psi-value": lambda fig3, chain: psi_monomial(fig3, (0, 0, 0, 7)),
+    "vanishes": lambda fig3, chain: vanishes(
+        chain, SparsePoly.variable((0, 0, 0, 0)) - SparsePoly.variable((1, 1, 1, 1))
+    ),
+    "fibers": lambda fig3, chain: fibers_connected(
+        exponent_matrix(chain),
+        [
+            canonical_binomial(
+                ((0, 0, 0, 0), (1, 1, 1, 1)), ((0, 0, 0, 1), (1, 1, 1, 0))
+            )
+        ],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _OUTSIDE_THE_TREE)
+def test_an_index_outside_the_tree_is_refused_before_any_table(
+    case, fig3, chain, monkeypatch
+):
+    algebra._compile.cache_clear()
+    monkeypatch.setattr(algebra, "_tables", lambda *args: pytest.fail("tables built"))
+    with pytest.raises(BadIndexError):
+        _OUTSIDE_THE_TREE[case](fig3, chain)
+    for tree in (fig3, chain):
+        built = vars(algebra._compile(tree)).keys()
+        assert not built & {"interpolants", "keys", "images"}
 
 
 def test_balanced_pair_matches_witness(fig1, chain):
@@ -170,6 +211,15 @@ def test_random_point_is_a_distribution(fig3):
     assert all(v > 0 for v in probs.values())
     assert random_point(fig3, seed=11) == point
     assert random_point(fig3, seed=12) != point
+    # The integer table verify evaluates is the point's table times one
+    # positive integer, at seed 0 and at the seeds verify draws.
+    for seed in (0, 11, 2**30 - 1):
+        table = _integer_probabilities(fig3, seed)
+        reference = outcome_probabilities(fig3, random_point(fig3, seed))
+        assert table.keys() == reference.keys()
+        assert all(type(v) is int for v in table.values())
+        (scale,) = {table[x] / reference[x] for x in reference}
+        assert scale > 0 and scale.denominator == 1
 
 
 def test_zero_screen_agrees_with_symbolic_truth(chain, fig1):
@@ -559,6 +609,26 @@ def test_the_default_balance_verdict_is_kept(monkeypatch):
         assert calls
         calls.clear()
         monkeypatch.setattr(algebra, "_failing_outcomes", failing)
+
+
+def test_verify_decides_the_default_balance_once(capsys, monkeypatch):
+    calls = []
+    balance = algebra._balance
+
+    def counted(compiled, audit_all_pairs):
+        calls.append(audit_all_pairs)
+        return balance(compiled, audit_all_pairs)
+
+    monkeypatch.setattr(algebra, "_balance", counted)
+    algebra._compile.cache_clear()
+    fixture = str(fixture_path("fig4.json"))
+    assert main(["verify", "--method", "all", "--symbolic", fixture]) == 0
+    capsys.readouterr()
+    assert calls == [False]
+    tree = load("fig4.json")
+    for audits in (1, 2):
+        assert is_balanced(tree, audit_all_pairs=True) == (True, None)
+        assert calls == [False] + [True] * audits
 
 
 BALANCED = (
