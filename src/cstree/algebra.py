@@ -15,8 +15,11 @@ verdict (``balance``), the stage-line bitsets, and two tables.  One slot
 remains, filled from outside: the tree's minimal contexts, which
 ``contexts.minimal_contexts`` fills on its first search.  The tables:
 
-- the interpolants, per vertex the sum of its below-path label products,
-  in the plain label ring (balance);
+- the factor ids (``factors``), per vertex the ids of the irreducible
+  factors of its interpolant, the sum of its below-path label products in
+  the plain label ring: balance compares multisets of ids, so no
+  interpolant is built or multiplied to decide it, and ``interpolant``
+  expands one vertex from its outcomes' paths on request;
 - the eliminated image E(x) of every outcome: its path product with each
   stage's last label replaced by one minus the stage's other labels, the
   sum-to-one relations taken into account (vanishing).
@@ -28,11 +31,11 @@ and m2 are equal.  A binomial p_u1·p_u2 - p_v1·p_v2 thus vanishes on the
 model exactly when key(u1) + key(u2) == key(v1) + key(v2), the move test
 of the fiber sweep.  ``vanishes`` collapses a polynomial's terms by path
 monomial first and decides zero, one or two survivors at once; only three
-or more are mapped to Σ c·Π E(x) and expanded.  Both tables are
-multilinear, so the product of two of their polynomials has exponents of
-at most 2, which a field holds; a product of d images has exponents up to
-d, so ``vanishes`` widens the fields to fit the polynomial's degree when
-the tables' width is too narrow.  ``statement_holds`` decides a saturated
+or more are mapped to Σ c·Π E(x) and expanded.  The images are
+multilinear, so the product of two of them has exponents of at most 2,
+which a field holds; a product of d images has exponents up to d, so
+``vanishes`` widens the fields to fit the polynomial's degree when the
+tables' width is too narrow.  ``statement_holds`` decides a saturated
 statement, whose minors are binomials, on keys, and any other in factored
 form, M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the same ring
 homomorphism applied before the product instead of after, so the verdict
@@ -69,6 +72,7 @@ from .errors import (
     BudgetExceededError,
     NotSameStageError,
     PreconditionError,
+    ShapeMismatchError,
 )
 from .model import (
     Context,
@@ -107,20 +111,14 @@ _WIDTH = 2
 _FIELD = (1 << _WIDTH) - 1
 
 
-def _label_ids(key: int) -> list:
-    """The label ids of a packed monomial, each repeated by its exponent."""
-    ids = []
-    i = 0
-    while key:
-        ids.extend([i] * (key & _FIELD))
-        key >>= _WIDTH
-        i += 1
-    return ids
-
-
 def _widen(key: int, width: int) -> int:
     """A packed monomial re-packed with ``width``-bit fields."""
-    return sum(1 << width * i for i in _label_ids(key))
+    wide = i = 0
+    while key:
+        wide += (key & _FIELD) << width * i
+        key >>= _WIDTH
+        i += 1
+    return wide
 
 
 # The most outcomes a tree may have to be compiled.  The outcomes bound
@@ -141,8 +139,9 @@ class _Compiled:
     in lex order, to its path's label ids.  A stage's labels get
     consecutive ids, so the label of vertex v and outcome o is
     ``first[k][v] + o``, and ids grow with the level: a path's ids come out
-    sorted.  The default balance verdict is the cached property
-    ``balance``; ``minimal_contexts`` is the one slot, filled by
+    sorted.  Balance reads the cached property ``factors``, built in one
+    bottom-up sweep over the ``first`` tables, and keeps its default
+    verdict as ``balance``; ``minimal_contexts`` is the one slot, filled by
     ``contexts.minimal_contexts``.
     """
 
@@ -236,21 +235,34 @@ class _Compiled:
         return layer
 
     @cached_property
-    def interpolants(self) -> list:
-        """Per depth k, vertex -> its interpolant; leaves give 1."""
-        system = self.system
-        one = {0: 1}
-        tables = [None] * system.p + [{x: one for x in self.paths}]
-        for k in range(system.p - 1, -1, -1):
-            below, d = tables[k + 1], system.cards[k]
-            layer = {}
+    def factors(self) -> list:
+        """Per depth k, vertex -> F(v), the ids of its interpolant's
+        irreducible factors, as a frozenset; leaves give none.  Built
+        bottom-up: v of stage id i gets G = ⋂_o F(vo) and one new id,
+        numbering (i, (F(vo) - G for each o)).
+
+        Why this is exact.  The interpolant obeys
+        t(v) = Σ_o θ_{i+o}·t(vo) and has degree one in each level's labels.
+        So the gcd of the children's interpolants, the product of G's
+        factors, splits off, and the rest, Σ_o θ_{i+o}·t(vo)/gcd, is
+        irreducible: it has degree one in its stage's labels and its
+        cofactors share no factor.  Two such factors are equal exactly when
+        they have the same stage and the same cofactors, so the new id
+        names one factor.  ℤ[θ] is a unique factorization domain and every
+        coefficient is 0 or 1, so no unit blurs the ids, and each factor of
+        t(v) carries levels no other one does, so F(v) is a set.  Hence
+        t(vs)·t(wr) = t(vr)·t(ws) exactly when the multisets F(vs) ⊎ F(wr)
+        and F(vr) ⊎ F(ws) agree."""
+        ids = {}
+        tables = [None] * self.system.p + [dict.fromkeys(self.paths, frozenset())]
+        for k in range(self.system.p - 1, -1, -1):
+            below, d = tables[k + 1], self.system.cards[k]
+            layer = tables[k] = {}
             for v, i in self.first[k].items():
-                poly = {}
-                for o in range(d):
-                    bit = 1 << _WIDTH * (i + o)
-                    poly.update((bit + m, c) for m, c in below[v + (o,)].items())
-                layer[v] = poly
-            tables[k] = layer
+                children = [below[v + (o,)] for o in range(d)]
+                common = frozenset.intersection(*children)
+                cofactors = tuple(child - common for child in children)
+                layer[v] = common | {ids.setdefault((i, cofactors), len(ids))}
         return tables
 
     def marginal(self, support) -> dict:
@@ -317,22 +329,25 @@ def interpolant(tree: CStreeSpec, vertex) -> SparsePoly:
     leaves give 1.  A vertex outside the tree raises BadIndexError."""
     compiled = _compile(tree)
     vertex = _vertex(compiled, vertex)
-    poly = compiled.interpolants[len(vertex)][vertex]
+    k = len(vertex)
     return SparsePoly(
         {
-            Monomial.of(*(compiled.labels[i] for i in _label_ids(m))): c
-            for m, c in poly.items()
+            Monomial.of(*(compiled.labels[i] for i in ids[k:])): 1
+            for x, ids in compiled.paths.items()
+            if x[:k] == vertex
         }
     )
 
 
 def _failing_outcomes(table: dict, v: tuple, w: tuple, d: int):
     """The first outcome pair (s, r) where the cross-product identity of
-    v and w fails, or None."""
+    v and w fails, or None.  ``table`` holds the factor ids of the layer
+    below (``_Compiled.factors``), and F(vs) ⊎ F(wr) = F(vr) ⊎ F(ws)
+    exactly when the ids counted twice (in both sets) and once (in one)
+    agree."""
     for s, r in itertools.combinations(range(d), 2):
-        if not _cross_equal(
-            table[v + (s,)], table[w + (r,)], table[v + (r,)], table[w + (s,)]
-        ):
+        a, b, c, e = table[v + (s,)], table[w + (r,)], table[v + (r,)], table[w + (s,)]
+        if a & b != c & e or a ^ b != c ^ e:
             return s, r
     return None
 
@@ -349,7 +364,7 @@ def balanced_pair(tree: CStreeSpec, v, w) -> bool:
         raise BadIndexError(f"{v} and {w} must both be vertices of the tree")
     if first[v] != first[w]:
         raise NotSameStageError(f"{v} and {w} are staged apart")
-    table = compiled.interpolants[len(v) + 1]
+    table = compiled.factors[len(v) + 1]
     return _failing_outcomes(table, v, w, tree.system.cards[len(v)]) is None
 
 
@@ -386,7 +401,7 @@ def is_balanced(tree: CStreeSpec, audit_all_pairs=False):
 
 def _balance(compiled: _Compiled, audit_all_pairs: bool) -> tuple:
     """``is_balanced``'s check, run afresh."""
-    tables, cards = compiled.interpolants, compiled.system.cards
+    tables, cards = compiled.factors, compiled.system.cards
     for k, stages in enumerate(compiled.stages):
         for i, members in stages.items():
             if audit_all_pairs:
@@ -590,16 +605,17 @@ def _integer_probabilities(tree: CStreeSpec, seed=0) -> dict:
 
 
 def outcome_probabilities(tree: CStreeSpec, point: dict) -> dict:
-    """The outcome distribution p_x induced by a parameter point."""
+    """The outcome distribution p_x induced by a parameter point.  A label
+    the point gives no value raises BadIndexError."""
     compiled = _compile(tree)
+    for label in compiled.labels:
+        if label not in point:
+            raise BadIndexError(f"the point gives no value for {label}")
     values = [point[label] for label in compiled.labels]
-    out = {}
-    for x, ids in compiled.paths.items():
-        value = Fraction(1)
-        for i in ids:
-            value *= values[i]
-        out[x] = value
-    return out
+    return {
+        x: math.prod((values[i] for i in ids), start=Fraction(1))
+        for x, ids in compiled.paths.items()
+    }
 
 
 def statement_zero_at(
@@ -609,7 +625,11 @@ def statement_zero_at(
     outcome probabilities, or at that table times a positive constant,
     which scales every minor by the constant's square.  A nonzero minor
     refutes the statement exactly; all-zero only suggests it, so confirm
-    symbolically."""
+    symbolically.  A table missing an outcome of the system raises
+    BadIndexError before any minor is evaluated."""
+    for x in system.outcomes():
+        if x not in probs:
+            raise BadIndexError(f"the table gives no value for outcome {x}")
 
     def marginal(support):
         return sum(probs[x] for x in support)
@@ -630,7 +650,10 @@ class ExponentMatrix:
     columns: tuple
 
     def marginal(self, table) -> tuple:
-        """Row sums A u for a table aligned with ``outcomes``."""
+        """Row sums A u for a table aligned with ``outcomes``; a table of
+        another length raises ShapeMismatchError."""
+        if len(table) != len(self.outcomes):
+            raise ShapeMismatchError(f"{len(table)} counts, not {len(self.outcomes)}")
         out = [0] * len(self.labels)
         for count, rows in zip(table, self.columns):
             if count:

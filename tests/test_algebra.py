@@ -1,8 +1,10 @@
 """Labels, interpolants, balance, vanishing, points, and fibers."""
 
+import hashlib
 import itertools
 import json
 import random
+import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +21,7 @@ from cstree import (
     EdgeLabel,
     ExponentMatrix,
     NotSameStageError,
+    ShapeMismatchError,
     SparsePoly,
     VariableSystem,
     all_contexts,
@@ -26,10 +29,12 @@ from cstree import (
     canonical_binomial,
     dag_from_json,
     edge_label,
+    enumerate_cstrees,
     exponent_matrix,
     fibers_connected,
     interpolant,
     is_balanced,
+    is_perfect,
     level_stage_map,
     markov_basis_saturated,
     minimal_contexts,
@@ -48,6 +53,7 @@ from cstree import (
     statement_polynomials,
     statement_zero_at,
     tree_labels,
+    to_perfect,
     tree_of_dag,
     vanishes,
 )
@@ -128,6 +134,12 @@ _OUTSIDE_THE_TREE = {
     "vanishes": lambda fig3, chain: vanishes(
         chain, SparsePoly.variable((0, 0, 0, 0)) - SparsePoly.variable((1, 1, 1, 1))
     ),
+    "probabilities-label": lambda fig3, chain: outcome_probabilities(fig3, {}),
+    "zero-at-outcome": lambda fig3, chain: statement_zero_at(
+        parse_statement("1 _||_ 2"),
+        chain.system,
+        outcome_probabilities(fig3, random_point(fig3)),
+    ),
     "fibers": lambda fig3, chain: fibers_connected(
         exponent_matrix(chain),
         [
@@ -139,6 +151,12 @@ _OUTSIDE_THE_TREE = {
     ),
 }
 
+# What the refusal of a caller's table must name.
+_MISSING = {
+    "probabilities-label": r"q1\(-;0\)$",
+    "zero-at-outcome": r"outcome \(0, 0, 0\)$",
+}
+
 
 @pytest.mark.parametrize("case", _OUTSIDE_THE_TREE)
 def test_an_index_outside_the_tree_is_refused_before_any_table(
@@ -146,11 +164,11 @@ def test_an_index_outside_the_tree_is_refused_before_any_table(
 ):
     algebra._compile.cache_clear()
     monkeypatch.setattr(algebra, "_tables", lambda *args: pytest.fail("tables built"))
-    with pytest.raises(BadIndexError):
+    with pytest.raises(BadIndexError, match=_MISSING.get(case)):
         _OUTSIDE_THE_TREE[case](fig3, chain)
     for tree in (fig3, chain):
         built = vars(algebra._compile(tree)).keys()
-        assert not built & {"interpolants", "keys", "images"}
+        assert not built & {"factors", "keys", "images"}
 
 
 def test_balanced_pair_matches_witness(fig1, chain):
@@ -163,6 +181,55 @@ def test_balanced_pair_matches_witness(fig1, chain):
         balanced_pair(fig1, (0, 0, 0), (1, 0, 0))
     with pytest.raises(BadIndexError):
         balanced_pair(fig1, (0,), (5,))
+
+
+def test_factor_ids_are_canonical(monkeypatch):
+    # Two vertices of one depth share their factor ids exactly when their
+    # interpolants are equal, and balance is decided without a product.
+    trees = [load(name) for name in TREE_FIXTURES]
+    rng = random.Random(25)
+    for _ in range(50):
+        cards = tuple(rng.choice((2, 2, 3)) for _ in range(rng.randint(2, 5)))
+        trees.append(random_cstree(VariableSystem(cards), rng))
+    for tree in trees:
+        factors = algebra._compile(tree).factors
+        for layer in factors:
+            pairs = {(interpolant(tree, v), ids) for v, ids in layer.items()}
+            polys, id_sets = zip(*pairs)
+            assert len(set(polys)) == len(set(id_sets)) == len(pairs)
+    monkeypatch.setattr(
+        algebra, "_product_into", lambda *args: pytest.fail("a product was taken")
+    )
+    verdicts = set()
+    for tree in trees:
+        algebra._compile.cache_clear()
+        ok = is_balanced(tree)[0]
+        assert is_balanced(tree, audit_all_pairs=True)[0] == ok
+        pairs = [
+            (members[0], w)
+            for stages in algebra._compile(tree).stages
+            for members in stages.values()
+            for w in members[1:]
+        ]
+        assert all(balanced_pair(tree, v, w) for v, w in pairs) == ok
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_large_dag_trees_are_decided_in_linear_time():
+    # 16,383 vertices each: before balance was decided on factor ids, the
+    # interpolant products took seconds here.
+    dag = random_dag(14, random.Random(3), 0.3)
+    verdicts = []
+    for graph in (to_perfect(dag)[0], dag):
+        tree = tree_of_dag(graph, (2,) * 14)
+        started = time.perf_counter()
+        ok, _ = is_balanced(tree)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1, f"is_balanced took {elapsed:.2f}s"
+        assert ok == is_perfect(graph)
+        verdicts.append(ok)
+    assert verdicts == [True, False]
 
 
 def test_audit_all_pairs_agrees_on_random_trees():
@@ -247,6 +314,9 @@ def test_exponent_matrix_shape(fig3):
     marg = matrix.marginal(tuple(basis_table))
     assert sum(marg) == 8
     assert set(marg) <= {0, 2}
+    for length in (15, 17, 40):
+        with pytest.raises(ShapeMismatchError):
+            matrix.marginal((1,) * length)
 
 
 def test_fiber_bound_budget(chain, monkeypatch):
@@ -453,6 +523,20 @@ def test_exactness_gate_balance():
         assert is_balanced(tree) == expected
         verdicts.add(expected[0])
     assert verdicts == {True, False}
+
+
+def test_every_census_verdict_and_witness_is_pinned():
+    # sha256 over one line per (2,2,2,2) staging and audit flag, in
+    # enumeration order: the verdict and the whole witness.
+    digest = hashlib.sha256()
+    for tree in enumerate_cstrees(VariableSystem((2, 2, 2, 2))):
+        for audit in (False, True):
+            ok, w = is_balanced(tree, audit_all_pairs=audit)
+            line = (ok,) if ok else (ok, w.level, w.context.items, w.pair, w.outcomes)
+            digest.update((repr(line) + "\n").encode())
+    assert digest.hexdigest() == (
+        "961dd3560fdde5ec3af4f9635f5d84e6e72134e5c59db573e7d5fcf23401d63d"
+    )
 
 
 def test_packed_keys_do_not_alias_past_the_tables_width():
