@@ -11,7 +11,7 @@ field per label id (label i's exponent sits at bit ``_WIDTH * i``), so a
 product of monomials is the sum of their keys.  Everything else the
 compiled form holds is derived on first read (cached properties): each
 outcome's packed path monomial (``keys``), the default ``is_balanced``
-verdict (``balance``), the stage-line bitsets, and two tables.  One slot
+verdict (``balance``), the stage-line bitsets, and three tables.  One slot
 remains, filled from outside: the tree's minimal contexts, which
 ``contexts.minimal_contexts`` fills on its first search.  The tables:
 
@@ -22,7 +22,10 @@ remains, filled from outside: the tree's minimal contexts, which
   expands one vertex from its outcomes' paths on request;
 - the eliminated image E(x) of every outcome: its path product with each
   stage's last label replaced by one minus the stage's other labels, the
-  sum-to-one relations taken into account (vanishing).
+  sum-to-one relations taken into account (vanishing);
+- the cell ids (``cells``), filled on demand by ``cell``: per cell of a
+  statement's minors, the ids of the irreducible factors of its marginal
+  M(S) = Σ_{x∈S} E(x) in the eliminated ring.
 
 E sends every label to a linear form, the label itself or one minus its
 stage's other labels; these are irreducible and pairwise non-associate, so
@@ -35,15 +38,15 @@ or more are mapped to Σ c·Π E(x) and expanded.  The images are
 multilinear, so the product of two of them has exponents of at most 2,
 which a field holds; a product of d images has exponents up to d, so
 ``vanishes`` widens the fields to fit the polynomial's degree when the
-tables' width is too narrow.  ``statement_holds`` decides a saturated
-statement, whose minors are binomials, on keys, and any other in factored
-form, M(S1)·M(S2) == M(S3)·M(S4) with M(S) = Σ_{x∈S} E(x): the same ring
-homomorphism applied before the product instead of after, so the verdict
-stays exact and symbolic.  ``statement_zero_at`` evaluates the minors at
-one point instead: the reference screen.  The library itself evaluates
-only at ``_integer_probabilities``, the outcome table of ``random_point``
-times one positive integer: the minimal-context search screens at seed 0,
-and ``verify``'s random vanishing at the seeds it draws.  ``SparsePoly`` and
+tables' width is too narrow.  ``statement_holds`` decides every statement
+on cell ids: a minor M(S1)·M(S2) - M(S3)·M(S4) vanishes exactly when the
+multisets of its two sides' ids agree, the test balance runs on vertex
+ids, so no marginal is built or multiplied and the verdict stays exact and
+symbolic.  ``statement_zero_at`` evaluates the minors at one point
+instead: the reference screen.  The library itself evaluates only at
+``_integer_probabilities``, the outcome table of ``random_point`` times
+one positive integer: the minimal-context search screens at seed 0, and
+``verify``'s random vanishing at the seeds it draws.  ``SparsePoly`` and
 ``Monomial`` remain the public types; results are converted at the API
 edge.
 
@@ -65,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .csi import CsiStatement, is_saturated
+from .csi import CsiStatement
 from .errors import (
     BadIndexError,
     BoundTooLargeError,
@@ -141,8 +144,11 @@ class _Compiled:
     ``first[k][v] + o``, and ids grow with the level: a path's ids come out
     sorted.  Balance reads the cached property ``factors``, built in one
     bottom-up sweep over the ``first`` tables, and keeps its default
-    verdict as ``balance``; ``minimal_contexts`` is the one slot, filled by
-    ``contexts.minimal_contexts``.
+    verdict as ``balance``.  ``statement_holds`` reads ``cell``, one
+    bottom-up sweep per cell over the vertices its axes allow, which gives
+    the ids of the cell marginal's irreducible factors in the eliminated
+    ring and keeps them in ``cells``.  ``minimal_contexts`` is the one
+    slot, filled by ``contexts.minimal_contexts``.
     """
 
     def __init__(self, tree: CStreeSpec):
@@ -265,15 +271,51 @@ class _Compiled:
                 layer[v] = common | {ids.setdefault((i, cofactors), len(ids))}
         return tables
 
-    def marginal(self, support) -> dict:
-        """M(S) = Σ_{x∈S} E(x), zero terms dropped."""
-        images = self.images
-        acc = {}
-        get = acc.get
-        for x in support:
-            for m, c in images[x].items():
-                acc[m] = get(m, 0) + c
-        return {m: c for m, c in acc.items() if c}
+    @cached_property
+    def cells(self) -> dict:
+        """``cell``'s one memo, filled on demand: a cell's axes map to its
+        ids, and a factor's key (stage id, allowed outcomes, cofactors) to
+        its id.  The two kinds of key never compare equal, and an id is the
+        table's size when its factor is first met, so no two factors share
+        an id."""
+        return {}
+
+    def cell(self, axes) -> frozenset:
+        """The ids of the irreducible factors of M(S) = Σ_{x∈S} E(x) in the
+        eliminated ring, for the cell S = ∏ axes: per position, the pinned
+        value as a 1-tuple or the full range.  The pins must be values of
+        the system; ``_minor_cells`` checks them.
+
+        One bottom-up sweep over the vertices the axes allow, from the last
+        pinned level: below it every allowed set is full and the images sum
+        to one, so the vertices there get no ids.  Vertex v of stage id i
+        with allowed outcomes A gets G = ⋂_{o∈A} F(vo) and the cofactors
+        F(vo) - G.  When A is full and every cofactor is empty, v gets G:
+        its stage's labels sum to one.  Otherwise v gets G and one id more,
+        numbering (i, A, cofactors).  ``statement_holds`` says why the ids
+        name the factors."""
+        axes = tuple(axes)
+        memo = self.cells
+        if axes in memo:
+            return memo[axes]
+        cards, empty = self.system.cards, frozenset()
+        last = max((k for k, a in enumerate(axes) if len(a) < cards[k]), default=-1)
+        below = {}
+        for k in range(last, -1, -1):
+            allowed, first = tuple(axes[k]), self.first[k]
+            full = len(allowed) == cards[k]
+            layer = {}
+            for v in itertools.product(*axes[:k]):
+                children = [below.get(v + (o,), empty) for o in allowed]
+                common = frozenset.intersection(*children)
+                cofactors = tuple(child - common for child in children)
+                if full and not any(cofactors):
+                    layer[v] = common
+                else:
+                    key = (first[v], allowed, cofactors)
+                    layer[v] = common | {memo.setdefault(key, len(memo))}
+            below = layer
+        return memo.setdefault(axes, below.get((), empty))
 
 
 @lru_cache(maxsize=64)
@@ -306,12 +348,6 @@ def _product_into(acc: dict, f: dict, g: dict, sign: int) -> dict:
     return acc
 
 
-def _cross_equal(a: dict, b: dict, c: dict, d: dict) -> bool:
-    """Whether a·b == c·d."""
-    acc = _product_into(_product_into({}, a, b, 1), c, d, -1)
-    return not any(acc.values())
-
-
 def tree_labels(tree: CStreeSpec) -> tuple:
     """All labels of the tree, ordered by level, stage context, outcome."""
     return _compile(tree).labels
@@ -339,15 +375,21 @@ def interpolant(tree: CStreeSpec, vertex) -> SparsePoly:
     )
 
 
+def _same_product(a: frozenset, b: frozenset, c: frozenset, e: frozenset) -> bool:
+    """Whether the factor-id sets a ⊎ b and c ⊎ e agree as multisets:
+    exactly when the ids counted twice (in both sets) and once (in one)
+    agree."""
+    return a & b == c & e and a ^ b == c ^ e
+
+
 def _failing_outcomes(table: dict, v: tuple, w: tuple, d: int):
     """The first outcome pair (s, r) where the cross-product identity of
     v and w fails, or None.  ``table`` holds the factor ids of the layer
-    below (``_Compiled.factors``), and F(vs) ⊎ F(wr) = F(vr) ⊎ F(ws)
-    exactly when the ids counted twice (in both sets) and once (in one)
-    agree."""
+    below (``_Compiled.factors``), and the identity holds exactly when
+    F(vs) ⊎ F(wr) = F(vr) ⊎ F(ws)."""
     for s, r in itertools.combinations(range(d), 2):
         a, b, c, e = table[v + (s,)], table[w + (r,)], table[v + (r,)], table[w + (s,)]
-        if a & b != c & e or a ^ b != c ^ e:
+        if not _same_product(a, b, c, e):
             return s, r
     return None
 
@@ -424,9 +466,11 @@ def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
     a minor is M(S1)·M(S2) - M(S3)·M(S4) with S1 = (x_A, x_B, x_S),
     S2 = (y_A, y_B, x_S), S3 = (x_A, y_B, x_S) and S4 = (y_A, x_B, x_S).  A
     cell pins those values and the context and sums out the other
-    variables: ``marginal(support)`` gives its value from its outcomes in
-    lex order and runs at most once per cell.  A variable or context value
-    outside the system raises BadIndexError."""
+    variables: ``marginal(axes)`` gives its value from its axes, per
+    position the pinned value as a 1-tuple or the full ``range``, whose
+    product is the cell's outcomes in lex order, and runs at most once per
+    cell.  A variable or context value outside the system raises
+    BadIndexError."""
     template = [range(d) for d in system.cards]
     for i, x in system.pinned(statement.context).items():
         template[i] = (x,)
@@ -444,7 +488,7 @@ def _minor_cells(statement: CsiStatement, system: VariableSystem, marginal):
             for place, vals in zip(places, values):
                 for i, x in zip(place, vals):
                     axes[i] = (x,)
-            cells[values] = marginal(tuple(itertools.product(*axes)))
+            cells[values] = marginal(tuple(axes))
         return cells[values]
 
     for x_a, y_a in itertools.combinations(ra, 2):
@@ -463,8 +507,8 @@ def statement_polynomials(statement: CsiStatement, system: VariableSystem) -> tu
     conditional slice, in marginalized outcome coordinates.  Minors that
     expand to zero are dropped."""
 
-    def marginal(support):
-        return SparsePoly({Monomial.of(x): 1 for x in support})
+    def marginal(axes):
+        return SparsePoly({Monomial.of(x): 1 for x in itertools.product(*axes)})
 
     out = []
     for m1, m2, m3, m4 in _minor_cells(statement, system, marginal):
@@ -534,28 +578,34 @@ def _nonvanishing(tree: CStreeSpec, binomials):
 
 
 def statement_holds(tree: CStreeSpec, statement: CsiStatement) -> bool:
-    """Semantic ground truth: every minor of the statement vanishes on the
-    model.  A saturated statement pins every variable in each cell, so its
-    minors are binomials p_u1·p_u2 - p_v1·p_v2, and one vanishes exactly
-    when the path monomials agree, key(u1) + key(u2) == key(v1) + key(v2):
-    the eliminated images are products of irreducible, pairwise
-    non-associate linear forms (see ``vanishes``), and this is the fiber
-    sweep's move test.  Other statements are checked in factored form
-    M(S1)·M(S2) == M(S3)·M(S4) on the eliminated images.  Exact but slower
-    than a point refutation; see ``statement_zero_at`` for the fast
-    negative check."""
-    compiled = _compile(tree)
-    if is_saturated(statement, tree.system):
-        keys = compiled.keys
-        return all(
-            k1 + k2 == k3 + k4
-            for k1, k2, k3, k4 in _minor_cells(
-                statement, tree.system, lambda support: keys[support[0]]
-            )
-        )
+    """Semantic ground truth: every minor M(S1)·M(S2) - M(S3)·M(S4) of the
+    statement vanishes on the model, M(S) = Σ_{x∈S} E(x) in the eliminated
+    ring.  Each cell S gets the ids of its marginal's irreducible factors
+    (``_Compiled.cell``), and a minor vanishes exactly when the multisets
+    of its two sides' ids agree, the test balance runs on vertex ids.  No
+    marginal is built or multiplied; the verdict is exact.  A fully pinned
+    cell's ids are its path's labels, so a saturated statement gets the
+    key test.  See ``statement_zero_at`` for the fast negative check.
+
+    Why the ids are exact.  ``cell`` gives vertex v of stage id i, with
+    allowed outcomes A and cofactors F(vo) - G, the new factor
+    f = Σ_{o∈A} E(θ_{i+o})·c_o, where c_o is the product of cofactor o's
+    factors; the c_o use only deeper levels' labels.  With o* the stage's
+    last outcome, f's part free of stage i's labels is [o*∈A]·c_{o*}, and
+    for o < o* its coefficient of θ_{i+o} is [o∈A]·c_o - [o*∈A]·c_{o*}.
+    So f = 1 exactly when A is full and every c_o = 1, the case that adds
+    no id.  Otherwise f has degree at most one in stage i's labels; a
+    factor free of those labels divides every coefficient, hence every c_o
+    for o ∈ A, and the c_o have gcd 1, so f is irreducible.  It is
+    primitive, since some c_o's coefficients appear in it (Gauss's lemma).
+    f determines A and each c_o, and by induction its key; f is positive on
+    the open simplex, which rules out the unit -1.  Each F holds at most
+    one factor made per level, so F is a set.  By unique factorization in
+    ℤ[θ], M(S1)·M(S2) = M(S3)·M(S4) exactly when the two id multisets
+    agree."""
+    cell = _compile(tree).cell
     return all(
-        _cross_equal(*cells)
-        for cells in _minor_cells(statement, tree.system, compiled.marginal)
+        _same_product(*cells) for cells in _minor_cells(statement, tree.system, cell)
     )
 
 
@@ -631,8 +681,8 @@ def statement_zero_at(
         if x not in probs:
             raise BadIndexError(f"the table gives no value for outcome {x}")
 
-    def marginal(support):
-        return sum(probs[x] for x in support)
+    def marginal(axes):
+        return sum(probs[x] for x in itertools.product(*axes))
 
     return all(
         m1 * m2 == m3 * m4

@@ -82,7 +82,7 @@ def statement_binomials(statement: CsiStatement, system: VariableSystem) -> tupl
     # Saturated: every variable is pinned, so each cell is one outcome.
     # x_A < y_A and x_B < y_B put S1 below S2, S3 and S4 in lex order, so
     # (S1, S2) is sorted and carries the plus sign, and no minor is degenerate.
-    cells = _minor_cells(statement, system, lambda support: support)
+    cells = _minor_cells(statement, system, lambda axes: tuple(itertools.product(*axes)))
     return tuple(
         SaturatedBinomial((u1, u2), (v1, v2) if v1 < v2 else (v2, v1), "sat", statement.context)
         for (u1,), (u2,), (v1,), (v2,) in cells

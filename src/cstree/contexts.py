@@ -369,7 +369,8 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     turn, and the context is kept only when one holds and no pinned
     variable releases it.  Each statement is decided on its cube: a refuted
     pair refutes it, a cube proving every cross pair proves it, and only
-    the rest expand minors; the graphs come from ``context_dag``.
+    the rest are decided on their minors' cell ids (``statement_holds``);
+    the graphs come from ``context_dag``.
     Contexts leaving one variable free are never visited: they hold no
     pair to tie, and they come last in the order.  The search runs once per
     compiled tree, which keeps its result, so the bases, ``contexts`` and

@@ -27,6 +27,7 @@ from cstree import (
     all_contexts,
     balanced_pair,
     canonical_binomial,
+    d_separated,
     dag_from_json,
     edge_label,
     enumerate_cstrees,
@@ -185,7 +186,8 @@ def test_balanced_pair_matches_witness(fig1, chain):
 
 def test_factor_ids_are_canonical(monkeypatch):
     # Two vertices of one depth share their factor ids exactly when their
-    # interpolants are equal, and balance is decided without a product.
+    # interpolants are equal, and balance and every statement are decided
+    # without a product.
     trees = [load(name) for name in TREE_FIXTURES]
     rng = random.Random(25)
     for _ in range(50):
@@ -214,6 +216,13 @@ def test_factor_ids_are_canonical(monkeypatch):
         assert all(balanced_pair(tree, v, w) for v, w in pairs) == ok
         verdicts.add(ok)
     assert verdicts == {True, False}
+    holds = {
+        statement_holds(tree, statement)
+        for tree in trees
+        for ctx in all_contexts(tree.system)
+        for statement in _context_statements(tree.system, ctx)
+    }
+    assert holds == {True, False}
 
 
 def test_large_dag_trees_are_decided_in_linear_time():
@@ -230,6 +239,26 @@ def test_large_dag_trees_are_decided_in_linear_time():
         assert ok == is_perfect(graph)
         verdicts.append(ok)
     assert verdicts == [True, False]
+
+
+def test_statements_on_dag_trees_agree_with_d_separation():
+    # d-separation is sound and complete for discrete DAG models, so the
+    # model's exact verdict must match the graph's on every statement.
+    verdicts = set()
+    for p in range(5, 13):
+        rng = random.Random(p)
+        dag = random_dag(p, rng, rng.choice((0.3, 0.5)))
+        tree = tree_of_dag(dag, (2,) * p)
+        queries = [(1, p, frozenset())]
+        for _ in range(4):
+            i, j = sorted(rng.sample(range(1, p + 1), 2))
+            rest = [v for v in range(1, p + 1) if v not in (i, j)]
+            queries.append((i, j, frozenset(v for v in rest if rng.random() < 0.3)))
+        for i, j, s in queries:
+            holds = statement_holds(tree, CsiStatement({i}, {j}, s))
+            assert holds == d_separated(dag, {i}, {j}, s), (p, i, j, s)
+            verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 def test_audit_all_pairs_agrees_on_random_trees():
@@ -256,7 +285,7 @@ def test_statement_polynomials_drop_zero_minors(fig1):
     st = parse_statement("1 _||_ 3 | 2")
     for poly in statement_polynomials(st, fig1.system):
         assert not poly.is_zero()
-    minors = list(_minor_cells(st, fig1.system, lambda support: support))
+    minors = list(_minor_cells(st, fig1.system, lambda axes: axes))
     assert len(minors) >= len(statement_polynomials(st, fig1.system))
 
 
