@@ -11,8 +11,9 @@ field per label id (label i's exponent sits at bit ``_WIDTH * i``), so a
 product of monomials is the sum of their keys.  Everything else the
 compiled form holds is derived on first read (cached properties): each
 outcome's packed path monomial (``keys``), the default ``is_balanced``
-verdict (``balance``), the stage-line bitsets, and three tables.  One slot
-remains, filled from outside: the tree's minimal contexts, which
+verdict (``balance``), the stage-line bitsets, the mask of the positions
+the minimal-context search never pins (``symmetric``), and three tables.
+One slot remains, filled from outside: the tree's minimal contexts, which
 ``contexts.minimal_contexts`` fills on its first search.  The tables:
 
 - the factor ids (``factors``), per vertex the ids of the irreducible
@@ -222,6 +223,63 @@ class _Compiled:
                 )
             out.append((varies, eq))
         return out
+
+    @cached_property
+    def symmetric(self) -> int:
+        """The mask of the symmetric positions.  Position i is symmetric
+        when, for every later layer j > i, the partition into stages of the
+        vertices with x_i = x, each indexed by its other coordinates, is the
+        same for every value x.  Read off the ``first`` tables: the vertices
+        with x_i = x form one slab per x, in the same order, and two slabs
+        give the same partition exactly when pairing their stage ids
+        position by position is a bijection.  The last position is always
+        symmetric, since no layer follows it.
+
+        Why no context pinning a symmetric i is minimal.  Fix the other
+        pins and let P_x be the slice distribution of the free positions
+        given X_i = x.  Up to normalization it is
+        ∏_{k<i} θ_k · θ_i(x | stage_i) · ∏_{k>i} θ_k(x_k | stage_k), where
+        stage_i does not read x_i and each stage_k reads the vertex with
+        x_i = x.  The layers k > i partition those vertices alike for x and
+        for any other value y, so a bijection σ_k sends the stages of the
+        x-slab to the y-slab's stages at the same vertices.  Given a
+        parameter θ, let θ' agree with θ below i, put
+        θ'_i(y | s) = θ_i(x | s) for each stage s of layer i (any value in
+        (0, 1) is some distribution's, as the cards are at least 2), and
+        give each stage σ_k(t) above i the distribution θ_k(· | t).  Then
+        P_y at θ' is P_x at θ term by term, and symmetrically, so every
+        value of X_i has the same set of slice distributions.  A statement
+        A _||_ B | S valid in the context C, with C_i = x, is a fact about
+        that set, so it is valid with X_i = y for every y, and
+        A _||_ B | S + i holds in C - i: un-pinning i releases it.  So no
+        statement is tied to C, and C is not minimal.  Every position of a
+        DAG tree is symmetric: a parent's value picks a stage but never
+        changes the partition.  So is every position of a tree of two
+        variables, whose second layer indexes each slab by the empty
+        tuple."""
+        cards = self.system.cards
+        rows = [list(first.values()) for first in self.first]
+        mask = 0
+        for i, d in enumerate(cards):
+            # Coordinate i of layer j's vertex n is n // inner % d, inner the
+            # product of the cards between them.
+            inner = 1
+            for j in range(i + 1, len(cards)):
+                row, period = rows[j], d * inner
+                slabs = [
+                    [n for o in range(x * inner, len(row), period) for n in row[o : o + inner]]
+                    for x in range(d)
+                ]
+                kinds = len(set(slabs[0]))
+                if any(
+                    len(set(zip(slabs[0], slab))) != kinds or len(set(slab)) != kinds
+                    for slab in slabs[1:]
+                ):
+                    break
+                inner *= cards[j]
+            else:
+                mask |= 1 << i
+        return mask
 
     @cached_property
     def images(self) -> dict:

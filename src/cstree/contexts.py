@@ -6,7 +6,7 @@ import itertools
 import math
 
 from .csi import CsiStatement
-from .errors import BadIndexError
+from .errors import BadIndexError, BudgetExceededError
 from .graphs import ContextDag, Dag, saturated_statements
 from .model import Context, CStreeSpec, VariableSystem
 from .algebra import _compile, _integer_probabilities, statement_holds
@@ -54,11 +54,14 @@ def context_dag(tree: CStreeSpec, context=Context()) -> ContextDag:
     return ContextDag(ctx, Dag.of((names[pos] for pos in free), edges))
 
 
-def _context_vectors(system: VariableSystem):
+def _context_vectors(system: VariableSystem, within=None):
     """Every context on a proper subset of the variables as per-position
-    values, -1 where free, ordered by size then lexicographically."""
+    values, -1 where free, ordered by size then lexicographically; with
+    ``within``, an ascending list of positions, only the contexts pinning
+    positions in it, in the same order."""
+    within = range(system.p) if within is None else within
     for size in range(system.p):
-        for places in itertools.combinations(range(system.p), size):
+        for places in itertools.combinations(within, size):
             for vals in itertools.product(*(range(system.cards[i]) for i in places)):
                 vec = [-1] * system.p
                 for i, x in zip(places, vals):
@@ -372,9 +375,24 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     the rest are decided on their minors' cell ids (``statement_holds``);
     the graphs come from ``context_dag``.
     Contexts leaving one variable free are never visited: they hold no
-    pair to tie, and they come last in the order.  The search runs once per
-    compiled tree, which keeps its result, so the bases, ``contexts`` and
-    the census share it.
+    pair to tie, and they come last in the order.  Nor is any context that
+    pins a symmetric variable (``_Compiled.symmetric``): one whose value
+    never changes how a later layer partitions its vertices into stages.
+    Such a context is never minimal.  Re-pinning the symmetric X_i from x
+    to y, setting each stage's probability of y at layer i to its
+    probability of x, and carrying each later stage's parameters over to
+    the stage at the same vertices maps the slice distributions of X_i = x
+    onto those of X_i = y.  So a statement valid in the context is valid in
+    every sibling, and un-pinning i into S releases it: no statement stays
+    tied.  The full proof is in ``_Compiled.symmetric``.  The walk generates
+    only the contexts over the other positions, in the same order, and
+    builds its oracle (the point and the margin cube) at the first context
+    it walks: a DAG tree, or any tree of two variables, walks none.  Before
+    any table is built, a tree whose walk visits more (context, S) pairs,
+    or whose margin cube holds more entries, than ``_SEARCH_BUDGET``
+    raises BudgetExceededError.  The search runs once per compiled tree,
+    which keeps its result, so the bases, ``contexts`` and the census
+    share it.
     """
     compiled = _compile(tree)
     if compiled.minimal_contexts is None:
@@ -383,14 +401,53 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
 
 
 def _minimal_contexts(tree: CStreeSpec) -> tuple:
-    """The search behind ``minimal_contexts``, uncached."""
-    oracle = _Oracle(tree)
+    """The search behind ``minimal_contexts``, uncached.  It walks the
+    nonempty contexts over the positions ``_walked`` returns that leave two
+    or more positions free, and builds its oracle at the first one."""
+    within = _walked(_compile(tree))
     kept = [context_dag(tree, Context())]
-    vectors = itertools.islice(_context_vectors(tree.system), 1, None)
+    oracle = None
+    vectors = itertools.islice(_context_vectors(tree.system, within), 1, None)
     for vec in itertools.takewhile(lambda vec: vec.count(-1) >= 2, vectors):
+        if oracle is None:
+            oracle = _Oracle(tree)
         if oracle.tied(vec):
             kept.append(context_dag(tree, _context(tree.system, vec)))
     return tuple(kept)
+
+
+# The most (context, S) pairs the minimal-context search may visit, and the
+# most entries its margin cube may hold: a tree past either is refused before
+# its oracle is built.
+_SEARCH_BUDGET = 1 << 20
+
+
+def _walked(compiled) -> list:
+    """The positions the search pins, ascending: the non-symmetric ones.
+    Before any table is built, raises BudgetExceededError when the
+    (context, S) pairs the walk may visit, or the entries of the margin
+    cube its oracle needs when it visits any, exceed ``_SEARCH_BUDGET``.  A
+    context pinning k positions leaves p - k free and is visited with each
+    S within them until one ties it; ``sizes[k]`` counts the contexts
+    pinning k walked positions."""
+    cards, p = compiled.system.cards, compiled.system.p
+    within = [i for i in range(p) if not compiled.symmetric >> i & 1]
+    sizes = [1]
+    for i in within:
+        sizes = [a + cards[i] * b for a, b in zip(sizes + [0], [0] + sizes)]
+    pairs = sum(sizes[k] << p - k for k in range(1, min(len(sizes), p - 1)))
+    if pairs > _SEARCH_BUDGET:
+        raise BudgetExceededError(
+            f"the minimal-context search may visit {pairs} (context, S) pairs, "
+            f"budget is {_SEARCH_BUDGET}"
+        )
+    cube = math.prod(c + 1 for c in cards)
+    if pairs and cube > _SEARCH_BUDGET:
+        raise BudgetExceededError(
+            f"the minimal-context search needs a margin cube of {cube} entries, "
+            f"budget is {_SEARCH_BUDGET}"
+        )
+    return within
 
 
 def separation_disagreements(tree: CStreeSpec, cdags) -> tuple:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import pathlib
+import time
 
 import pytest
 
@@ -15,6 +17,18 @@ def fixture_path(name: str) -> pathlib.Path:
 
 def load(name: str):
     return load_spec(fixture_path(name))
+
+
+def fastest(run, repeats=3):
+    """``run()``'s result and the fastest of ``repeats`` timed calls, in
+    seconds: a test that compares two such timings taken in turn bounds a
+    ratio, which does not depend on the host's speed."""
+    best = math.inf
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - started)
+    return result, best
 
 
 def _context_statements(system: VariableSystem, ctx: Context):

@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import itertools
 import json
+import math
 import pathlib
 import random
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cstree import (
     BadIndexError,
+    BudgetExceededError,
     Context,
     ContextDag,
     CsiStatement,
@@ -23,6 +25,7 @@ from cstree import (
     d_separated,
     dags_from_json,
     enumerate_cstrees,
+    level_stage_map,
     local_markov,
     minimal_contexts,
     outcome_probabilities,
@@ -211,6 +214,155 @@ def test_kept_minimal_contexts_equal_a_fresh_search(cards):
         kept = minimal_contexts(tree)
         assert minimal_contexts(tree) is kept
         assert kept == contexts_module._minimal_contexts(tree)
+
+
+def _symmetric_by_definition(tree):
+    """The mask of the positions i such that every later layer partitions
+    the vertices with x_i = x into stages, each vertex indexed by its other
+    coordinates, the same way for every value x."""
+    system = tree.system
+    maps = [level_stage_map(tree, var) for var in system.variables]
+
+    def partition(i, j, x):
+        blocks = {}
+        for v, stage in maps[j].items():
+            if v[i] == x:
+                blocks.setdefault(stage, set()).add(v[:i] + v[i + 1 :])
+        return frozenset(map(frozenset, blocks.values()))
+
+    return sum(
+        1 << i
+        for i, d in enumerate(system.cards)
+        if all(
+            len({partition(i, j, x) for x in range(d)}) == 1 for j in range(i + 1, system.p)
+        )
+    )
+
+
+def _seeded_trees(seed, count, sizes=range(3, 6)):
+    rng = random.Random(seed)
+    trees = []
+    for _ in range(count):
+        p = rng.choice(sizes)
+        cards = tuple(rng.choice((2, 3)) for _ in range(p))
+        trees.append(random_cstree(VariableSystem(cards), rng))
+    return trees
+
+
+def test_symmetric_positions_follow_their_definition():
+    trees = _seeded_trees(5, 60)
+    for cards in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)):
+        trees += enumerate_cstrees(VariableSystem(cards))
+    masks = set()
+    for tree in trees:
+        mask = _compile(tree).symmetric
+        assert mask == _symmetric_by_definition(tree), tree
+        assert mask >> (tree.system.p - 1) & 1
+        masks.add(mask == (1 << tree.system.p) - 1)
+    assert masks == {True, False}
+    # A parent's value picks a stage but never changes a partition.
+    rng = random.Random(8)
+    for p in range(2, 8):
+        cards = tuple(rng.choice((2, 3)) for _ in range(p))
+        tree = tree_of_dag(random_dag(p, rng, 0.5), cards)
+        assert _compile(tree).symmetric == (1 << p) - 1
+
+
+def _full_walk(tree):
+    """The search over every context leaving two or more positions free,
+    symmetric pins included."""
+    system = tree.system
+    oracle = contexts_module._Oracle(tree)
+    kept = [context_dag(tree, Context())]
+    for vec in itertools.islice(contexts_module._context_vectors(system), 1, None):
+        if vec.count(-1) >= 2 and oracle.tied(vec):
+            kept.append(context_dag(tree, contexts_module._context(system, vec)))
+    return tuple(kept)
+
+
+def test_the_walk_skips_only_contexts_that_are_not_minimal():
+    trees = _seeded_trees(2026, 40, range(3, 7))
+    for cards in ((2, 2, 2), (2, 3, 2), (3, 2, 2)):
+        trees += enumerate_cstrees(VariableSystem(cards))
+    skipped = kept = 0
+    for tree in trees:
+        found = contexts_module._minimal_contexts(tree)
+        assert found == _full_walk(tree), tree
+        skipped += _compile(tree).symmetric != 1 << (tree.system.p - 1)
+        kept += len(found) > 1
+    assert skipped and kept
+
+
+def test_dag_trees_walk_no_context_and_build_no_oracle(monkeypatch):
+    # Every position of a DAG tree is symmetric, so the search keeps the
+    # empty context without building the point, the margin cube or any
+    # pair mask.
+    def refused(tree):
+        raise AssertionError("the search built an oracle")
+
+    monkeypatch.setattr(contexts_module, "_Oracle", refused)
+    tree = tree_of_dag(random_dag(14, random.Random(3), 0.3), (2,) * 14)
+    _compile.cache_clear()
+    compiled = _compile(tree)
+    assert compiled.symmetric == (1 << 14) - 1
+    assert contexts_module._walked(compiled) == []
+    assert minimal_contexts(tree) == (context_dag(tree, Context()),)
+
+
+def _walked_p6():
+    """A six-variable staging whose positions are all walked but the last,
+    and on which the search still makes symbolic checks."""
+    return random_cstree(VariableSystem((2,) * 6), random.Random(25))
+
+
+def _visits(tree):
+    """The (context, S) pairs the walk visits, counted one by one."""
+    within = [i for i in range(tree.system.p) if not _compile(tree).symmetric >> i & 1]
+    vectors = contexts_module._context_vectors(tree.system, within)
+    return sum(
+        1 << vec.count(-1) for vec in itertools.islice(vectors, 1, None) if vec.count(-1) >= 2
+    )
+
+
+def test_the_search_budget_counts_the_visits(monkeypatch):
+    # The walk's (context, S) pairs are counted before it starts, and the
+    # margin cube's entries only when it visits some pair.
+    walks = set()
+    for tree in _seeded_trees(31, 30, range(3, 7)) + [load("fig4.json"), _walked_p6()]:
+        compiled = _compile(tree)
+        visits = _visits(tree)
+        cube = math.prod(c + 1 for c in tree.system.cards) if visits else 0
+        monkeypatch.setattr(contexts_module, "_SEARCH_BUDGET", max(visits, cube))
+        contexts_module._walked(compiled)
+        if visits:
+            monkeypatch.setattr(contexts_module, "_SEARCH_BUDGET", visits - 1)
+            with pytest.raises(BudgetExceededError, match=f"may visit {visits} "):
+                contexts_module._walked(compiled)
+        walks.add(visits > 0)
+    assert walks == {True, False}
+
+
+@pytest.mark.parametrize("over", ["pairs", "cube"])
+def test_contexts_over_the_search_budget_fail_before_any_table(monkeypatch, capsys, over):
+    def refused(tree):
+        raise AssertionError("the search built an oracle")
+
+    fixture = fixture_path("fig4.json")
+    visits = _visits(load("fig4.json"))
+    cube = 3**5
+    assert 0 < visits < cube
+    monkeypatch.setattr(contexts_module, "_Oracle", refused)
+    monkeypatch.setattr(
+        contexts_module, "_SEARCH_BUDGET", visits - 1 if over == "pairs" else visits
+    )
+    _compile.cache_clear()
+    assert main(["contexts", str(fixture)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetExceeded"
+    expected = f"may visit {visits} " if over == "pairs" else f"margin cube of {cube} entries"
+    assert expected in error["message"]
 
 
 GRAPH_FIXTURES = (
@@ -718,13 +870,14 @@ def _census_tool():
 def test_the_search_work_is_pinned():
     # The census's work counters on a small corpus, every search run cold.
     # A search that keeps the same contexts with more work, say ``released``
-    # without its wider-cube rule or ``holds`` without its proven-cube
-    # shortcut, moves these counts.
+    # without its wider-cube rule, ``holds`` without its proven-cube
+    # shortcut or a walk that pins symmetric positions, moves these counts.
     tool = _census_tool()
     trees = [load(name) for name in GRAPH_FIXTURES]
     for cards in ((2, 2, 2), (2, 3, 2)):
         trees += enumerate_cstrees(VariableSystem(cards))
     trees += [spec_from_json(CENSUS_361), spec_from_json(RELEASED_BY_X3)]
+    trees.append(_walked_p6())
     counts = dict.fromkeys(
         ("search_symbolic_checks", "search_symbolic_refutations", "search_candidate_loops"),
         0,
@@ -733,7 +886,7 @@ def test_the_search_work_is_pinned():
     for tree in trees:
         tool.searched(tree, counts)
     assert counts == {
-        "search_symbolic_checks": 27,
+        "search_symbolic_checks": 6,
         "search_symbolic_refutations": 0,
-        "search_candidate_loops": 56,
+        "search_candidate_loops": 60,
     }

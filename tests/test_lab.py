@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 import sys
-import time
 
 import pytest
 
@@ -32,6 +31,8 @@ from cstree import (
     validate_level_partition,
 )
 
+from conftest import fastest
+
 
 def test_staging_counts():
     assert count_cstrees(VariableSystem((2, 2, 2))) == 16
@@ -49,11 +50,13 @@ def test_a_layer_of_singletons_does_not_recurse():
 
 def test_a_wide_layer_is_walked_in_linear_time():
     # Each partition of a layer costs time linear in its width, so the
-    # 20,000 singletons of the second layer take well under a second.
-    started = time.perf_counter()
-    assert count_cstrees(VariableSystem((20_000, 2))) == 2
-    elapsed = time.perf_counter() - started
-    assert elapsed < 1, f"a 20,000-vertex layer took {elapsed:.2f}s"
+    # 20,000 singletons of a second layer take about ten to twenty times
+    # as long as 2,000 do; a walk that rescans the layer for each stage
+    # takes a hundred times as long.
+    narrow, narrow_s = fastest(lambda: count_cstrees(VariableSystem((2_000, 2))))
+    wide, wide_s = fastest(lambda: count_cstrees(VariableSystem((20_000, 2))))
+    assert narrow == wide == 2
+    assert wide_s < 40 * narrow_s, f"{wide_s:.3f}s against {narrow_s:.3f}s"
 
 
 def test_square_layer_has_eight_partitions():

@@ -45,9 +45,9 @@ PINNED = {
             "unbalanced_perfected_with_nonvanishing": 220,
             "unbalanced_perfected_with_disconnected_fibers": 94,
             "unbalanced_perfected_passing_both": 1793,
-            "search_symbolic_checks": 12,
+            "search_symbolic_checks": 0,
             "search_symbolic_refutations": 0,
-            "search_candidate_loops": 5184,
+            "search_candidate_loops": 5176,
         },
         "06cccf6fdda557bbe669321223d7c5b0459c0c1e6161f8278fe14660786407d0",
     ),
@@ -67,9 +67,9 @@ PINNED = {
             "unbalanced_perfected_with_nonvanishing": 792,
             "unbalanced_perfected_with_disconnected_fibers": 2859,
             "unbalanced_perfected_passing_both": 11646,
-            "search_symbolic_checks": 42,
+            "search_symbolic_checks": 0,
             "search_symbolic_refutations": 0,
-            "search_candidate_loops": 54230,
+            "search_candidate_loops": 54202,
         },
         "46186eae45cb96ff907eb10bba17129eee516547961d818c1013c94f96db4e03",
     ),
@@ -89,9 +89,9 @@ PINNED = {
             "unbalanced_perfected_with_nonvanishing": 792,
             "unbalanced_perfected_with_disconnected_fibers": 2859,
             "unbalanced_perfected_passing_both": 11646,
-            "search_symbolic_checks": 42,
+            "search_symbolic_checks": 0,
             "search_symbolic_refutations": 0,
-            "search_candidate_loops": 54230,
+            "search_candidate_loops": 54202,
         },
         "158ddf14fc0c165823935958f8e7df8e65774f2c8e62bef0f726094c81765c6c",
     ),
@@ -111,9 +111,9 @@ PINNED = {
             "unbalanced_perfected_with_nonvanishing": 2040,
             "unbalanced_perfected_with_disconnected_fibers": 3262,
             "unbalanced_perfected_passing_both": 5469,
-            "search_symbolic_checks": 12,
+            "search_symbolic_checks": 0,
             "search_symbolic_refutations": 0,
-            "search_candidate_loops": 33536,
+            "search_candidate_loops": 33528,
         },
         "3ca96c534b98e7609ab7aed6ffb4933eb642e737ed425ee0dd9fdde5a9d6db1a",
     ),
