@@ -11,8 +11,10 @@ field per label id (label i's exponent sits at bit ``_WIDTH * i``), so a
 product of monomials is the sum of their keys.  Everything else the
 compiled form holds is derived on first read (cached properties): each
 outcome's packed path monomial (``keys``), the default ``is_balanced``
-verdict (``balance``), the stage-line bitsets, the mask of the positions
-the minimal-context search never pins (``symmetric``), and three tables.
+verdict (``balance``), the stage-line bitsets (``lines``, built in time
+linear in each layer: closed forms for the value masks and each vertex's
+stage pins for the lines that vary), the mask of the positions the
+minimal-context search never pins (``symmetric``), and three tables.
 One slot remains, filled from outside: the tree's minimal contexts, which
 ``contexts.minimal_contexts`` fills on its first search.  The tables:
 
@@ -196,31 +198,37 @@ class _Compiled:
     def lines(self) -> list:
         """Per depth j, the stage-line rule as bitsets over j's layer, bit n
         for the n-th vertex in product order, the order of ``first[j]``:
-        ``(varies, eq)``, where
-        ``varies[i]`` flags every vertex whose i-line (the vertices differing
-        from it only in coordinate i) carries two stage ids and ``eq[k][c]``
-        flags the vertices with x_k = c."""
+        ``(varies, eq)``, where ``varies[i]`` flags every vertex whose
+        i-line (the vertices differing from it only in coordinate i)
+        carries two stage ids and ``eq[k][c]`` flags the vertices with
+        x_k = c.  Both are built in time linear in the layer.  ``eq[k][c]``
+        is a closed form: a block of stride ones at offset c * stride,
+        repeated every d * stride bits by a repunit.  ``varies[i]`` is read
+        off each vertex's stage pins: its i-line carries two stage ids
+        exactly when its stage's context pins i.  A stage is a cylinder, so
+        one that leaves i free holds the whole line, and one that pins i
+        holds no other vertex of it.  A stage pins the positions where its
+        first and last members, in lex order, agree.  This is the paper's
+        reading: j's parents in a slice are the free variables that some
+        stage of X_j meeting the slice pins."""
         cards = self.system.cards
         out = []
         for j, ids in enumerate(self.first):
-            row = list(ids.values())
+            pins = {
+                i: [a == b for a, b in zip(members[0], members[-1])]
+                for i, members in self.stages[j].items()
+            }
+            # Last vertex first: int(..., 2) reads its last digit as bit 0.
+            row = list(reversed(ids.values()))
             size = stride = len(row)
             varies, eq = [], []
-            for d in cards[:j]:
-                # Coordinate k of vertex n is n // stride % d: a k-line runs
-                # from a vertex with x_k = 0 in steps of stride.
+            for k, d in enumerate(cards[:j]):
+                # Coordinate k of vertex n is n // stride % d.
                 stride //= d
-                period = d * stride
-                mask = 0
-                for start in range(0, size, period):
-                    for base in range(start, start + stride):
-                        line = range(base, base + period, stride)
-                        if any(row[n] != row[base] for n in line):
-                            mask |= sum(1 << n for n in line)
-                varies.append(mask)
-                eq.append(
-                    [sum(1 << n for n in range(size) if n // stride % d == c) for c in range(d)]
-                )
+                digits = {i: "01"[pinned[k]] for i, pinned in pins.items()}
+                varies.append(int("".join(map(digits.__getitem__, row)), 2))
+                repunit = ((1 << size) - 1) // ((1 << d * stride) - 1)
+                eq.append([((1 << stride) - 1) * repunit << c * stride for c in range(d)])
             out.append((varies, eq))
         return out
 

@@ -139,15 +139,6 @@ def _margins(cards: tuple, probs: dict) -> list:
     return flat
 
 
-def _cube(vec: tuple, s: int) -> tuple:
-    """The cube of a context and a conditioning mask S: the context vector
-    with the positions of S marked -2.  A cube with no mark is a slice."""
-    cube = list(vec)
-    for i in _bits(s):
-        cube[i] = -2
-    return tuple(cube)
-
-
 def _cross(a: int, b: int, p: int) -> int:
     """The pair mask of the cross pairs of (A, B), bit i*p + j for i in A
     and j in B."""
@@ -177,15 +168,17 @@ class _Oracle:
     Set d-separation is the AND of pairwise d-separation, so A _||_ B is
     proved in a slice when every cross pair is.
 
-    Both pair masks, the survivors and the proven pairs, are kept per cube:
-    the AND over the values of the lowest position of S of the cubes
-    pinning it, so sibling contexts and a wider S reuse them.  A statement
-    is decided on its cube (``holds``): a refuted cross pair refutes it, a
-    cube proving every cross pair proves it, and what the graphs cannot
-    show (independence that is context-specific within a slice) is decided
-    symbolically (``statement_holds``), so every verdict is exact.  The
-    masks only release a (C, S) (``released``); a context is kept only by
-    the definition, statement by statement (``by_candidates``).
+    Both pair masks, the survivors and the proven pairs, are built together
+    per (C, S) and kept in one memo as one int (``masks``): a slice's from
+    its screen and its graph, any other (C, S)'s as the AND over the values
+    of the lowest position of S of the (C, S) pinning it, so sibling
+    contexts and a wider S reuse them.  A statement is decided on its
+    (C, S) (``holds``): a refuted cross pair refutes it, proving every
+    cross pair proves it, and what the graphs cannot show (independence
+    that is context-specific within a slice) is decided symbolically
+    (``statement_holds``), so every verdict is exact.  The masks only
+    release a (C, S) (``released``); a context is kept only by the
+    definition, statement by statement (``by_candidates``).
 
     The point is ``_integer_probabilities``: ``random_point``'s outcome
     table times one positive integer, so each minor keeps its zero pattern.
@@ -201,8 +194,8 @@ class _Oracle:
         self.p = system.p
         self.margins = _margins(system.cards, self.probs)
         self.strides = [math.prod(c + 1 for c in system.cards[i + 1 :]) for i in range(self.p)]
-        self._pairs = {}  # cube -> mask of surviving pairs, bit i*p + j both ways
-        self._proven = {}  # cube -> mask of the surviving pairs its slice graphs separate
+        self.shift = self.p * self.p
+        self._masks = {}  # (context, S) -> survivors | proven << shift, bit i*p + j both ways
         self._decided = {}  # (A, B, S, context) -> symbolic verdict
 
     def _statement(self, a: int, b: int, s: int, vec: tuple) -> CsiStatement:
@@ -211,30 +204,32 @@ class _Oracle:
         a, b, s = (frozenset(names[i] for i in _bits(part)) for part in (a, b, s))
         return CsiStatement(a, b, s, _context(self.system, vec))
 
-    def _masked(self, memo: dict, leaf, cube: tuple) -> int:
-        """A cube's pair mask kept in ``memo``: ``leaf`` of a slice, the AND
-        over the values of the lowest marked position of a cube."""
-        mask = memo.get(cube)
-        if mask is None:
-            if -2 in cube:
-                i = cube.index(-2)
-                mask = -1
+    def masks(self, vec: tuple, s: int) -> int:
+        """Both pair masks of (C, S), kept in one memo: the pairs of free
+        positions that survive the point in every slice, in the low p*p
+        bits, and the surviving pairs that every slice graph d-separates,
+        above them.  A slice (S empty) is screened on the margin cube and
+        its survivors tried on its graph; any other (C, S) is the AND over
+        the values of the lowest position of S, one ``&`` for both
+        masks."""
+        key = (vec, s)
+        both = self._masks.get(key)
+        if both is None:
+            if s:
+                i = (s & -s).bit_length() - 1
+                both = -1
                 for x in range(self.system.cards[i]):
-                    mask &= self._masked(memo, leaf, cube[:i] + (x,) + cube[i + 1 :])
+                    both &= self.masks(vec[:i] + (x,) + vec[i + 1 :], s & (s - 1))
             else:
-                mask = leaf(cube)
-            memo[cube] = mask
-        return mask
-
-    def pairs(self, cube: tuple) -> int:
-        """The pairs of free positions that survive the point in every
-        slice of a cube."""
-        return self._masked(self._pairs, self._screen, cube)
-
-    def proven(self, cube: tuple) -> int:
-        """The surviving pairs that every slice graph of a cube
-        d-separates."""
-        return self._masked(self._proven, self._prove, cube)
+                p = self.p
+                pairs, proven = self._screen(vec), 0
+                for k in _bits(pairs):
+                    i, j = divmod(k, p)
+                    if i < j and self._separated(1 << i, 1 << j, vec):
+                        proven |= 1 << k | 1 << (j * p + i)
+                both = pairs | proven << self.shift
+            self._masks[key] = both
+        return both
 
     def _screen(self, vec: tuple) -> int:
         """The pairs of a slice whose 2-way table has rank one, each table
@@ -250,16 +245,6 @@ class _Oracle:
             rows = [margins[r : r + cj * sj : sj] for r in range(start, start + cards[i] * si, si)]
             if _rank_one(rows):
                 mask |= 1 << (i * p + j) | 1 << (j * p + i)
-        return mask
-
-    def _prove(self, vec: tuple) -> int:
-        """The surviving pairs of a slice that its graph d-separates."""
-        p = self.p
-        mask = 0
-        for k in _bits(self.pairs(vec)):
-            i, j = divmod(k, p)
-            if i < j and self._separated(1 << i, 1 << j, vec):
-                mask |= 1 << k | 1 << (j * p + i)
         return mask
 
     def _separated(self, a: int, b: int, vec: tuple) -> bool:
@@ -294,15 +279,16 @@ class _Oracle:
         return not reached & b
 
     def holds(self, a: int, b: int, s: int, vec: tuple) -> bool:
-        """A _||_ B | S in the context, decided on its cube: false when some
+        """A _||_ B | S in the context, decided on its masks: false when some
         cross pair is refuted in a slice (decomposition), true when every
         cross pair is proven in every slice (d-separation composes over
-        pairs and slices), else by one symbolic check."""
+        pairs and slices), else by one symbolic check.  The cross pairs
+        read the survivors in the low bits and, shifted, the proven pairs."""
         cross = _cross(a, b, self.p)
-        cube = _cube(vec, s)
-        if cross & ~self.pairs(cube):
+        both = self.masks(vec, s)
+        if cross & ~both:
             return False
-        if not cross & ~self.proven(cube):
+        if not cross << self.shift & ~both:
             return True
         key = (a, b, s, vec)
         if key not in self._decided:
@@ -314,21 +300,21 @@ class _Oracle:
         ``rest`` stays tied to C.  Let g be the pairs within ``rest`` that
         survive every slice of (C, S): every candidate's cross pairs lie in
         g.  None is tied when g is empty, or when some pinned i has all of g
-        proven in the wider cube (C - i, S + i): every candidate holds
+        proven in the wider (C - i, S + i): every candidate holds
         there, d-separation composing over its cross pairs, so i releases
         it.  The pairs within ``rest`` are its cross pairs with itself: the
         diagonal bits this adds are never set in a pair mask."""
-        cube = _cube(vec, s)
-        g = self.pairs(cube) & _cross(rest, rest, self.p)
+        g = self.masks(vec, s) & _cross(rest, rest, self.p)
         return not g or any(
-            not g & ~self.proven(cube[:i] + (-2,) + cube[i + 1 :]) for i in pinned
+            not g << self.shift & ~self.masks(vec[:i] + (-1,) + vec[i + 1 :], s | 1 << i)
+            for i in pinned
         )
 
     def by_candidates(self, vec: tuple, s: int, rest: int, pinned: list) -> bool:
         """Whether some statement of (C, S) within ``rest`` stays tied to C,
         by the definition: some canonical (A, B) holds in (C, S) while, for
         every pinned i, it fails in the wider (C - i, S + i), each decided
-        on its cube by ``holds``."""
+        by ``holds``."""
         return any(
             self.holds(a, b, s, vec)
             and not any(
@@ -364,16 +350,16 @@ def minimal_contexts(tree: CStreeSpec) -> tuple:
     so it is enough to try each pinned variable alone: a T that absorbs
     makes each of its variables absorb.  The empty context always leads the
     list (a complete graph when no global statement holds).  Validity is
-    decided by the semantic oracle, which keeps two pair masks per
-    (context, S) cube: the pairs that survive its point screens and those
-    its slices' graphs d-separate.  The masks only release: S is skipped
-    when no pair survives it, or when some pinned variable proves every
-    surviving pair in the wider cube.  Every other S asks each statement in
-    turn, and the context is kept only when one holds and no pinned
-    variable releases it.  Each statement is decided on its cube: a refuted
-    pair refutes it, a cube proving every cross pair proves it, and only
-    the rest are decided on their minors' cell ids (``statement_holds``);
-    the graphs come from ``context_dag``.
+    decided by the semantic oracle, which keeps one memo of two pair masks
+    per (context, S): the pairs that survive its point screens and those
+    its slices' graphs d-separate, built together.  The masks only
+    release: S is skipped when no pair survives it, or when some pinned
+    variable proves every surviving pair in the wider (context, S).  Every
+    other S asks each statement in turn, and the context is kept only when
+    one holds and no pinned variable releases it.  Each statement is
+    decided on its masks: a refuted pair refutes it, proving every cross
+    pair proves it, and only the rest are decided on their minors' cell
+    ids (``statement_holds``); the graphs come from ``context_dag``.
     Contexts leaving one variable free are never visited: they hold no
     pair to tie, and they come last in the order.  Nor is any context that
     pins a symmetric variable (``_Compiled.symmetric``): one whose value

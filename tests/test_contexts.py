@@ -462,13 +462,19 @@ def _vector(system, ctx):
     return tuple(pinned.get(i, -1) for i in range(system.p))
 
 
+def _masks(oracle, vec, s):
+    """The survivor and proven pair masks of (C, S), unpacked."""
+    both = oracle.masks(vec, s)
+    return both & ((1 << oracle.shift) - 1), both >> oracle.shift
+
+
 def _branch(oracle, a, b, s, vec):
     """Which branch of ``holds`` decides A _||_ B | S in a context."""
     cross = contexts_module._cross(a, b, oracle.p)
-    cube = contexts_module._cube(vec, s)
-    if cross & ~oracle.pairs(cube):
+    survivors, proven = _masks(oracle, vec, s)
+    if cross & ~survivors:
         return "refuted"
-    return "symbolic" if cross & ~oracle.proven(cube) else "proven"
+    return "symbolic" if cross & ~proven else "proven"
 
 
 def _check_splits(oracle, vec, s, free, surviving):
@@ -484,7 +490,7 @@ def _check_splits(oracle, vec, s, free, surviving):
     splits = list(contexts_module._splits(rest))
     positions = [i for i in range(len(names)) if rest >> i & 1]
     assert sorted(splits) == sorted(_canonical_pairs(positions)), (vec, s)
-    graph = oracle.pairs(contexts_module._cube(vec, mask(s)))
+    graph, _ = _masks(oracle, vec, mask(s))
     admitted = {
         (block(a), block(b))
         for a, b in splits
@@ -521,7 +527,7 @@ def test_integer_screens_match_the_reference_screen():
                 statement = CsiStatement({names[i]}, {names[j]}, (), ctx)
                 if statement_zero_at(statement, system, probs):
                     mask |= 1 << (i * system.p + j) | 1 << (j * system.p + i)
-            assert oracle.pairs(sl) == mask, sl
+            assert _masks(oracle, sl, 0)[0] == mask, sl
 
 
 def test_margin_cube_sums_the_outcomes_of_each_pattern():
@@ -545,8 +551,9 @@ def test_margin_cube_sums_the_outcomes_of_each_pattern():
 
 
 def test_cubes_screen_the_and_of_their_slices():
-    # A cube's survivors are built from its sub-cubes, one marked position
-    # at a time; a fresh oracle screens each slice on its own.
+    # The masks of a (C, S) are built from those of (C, S) pinning the
+    # lowest position of S, one position at a time; a fresh oracle screens
+    # and proves each slice on its own.  Proven pairs always survive.
     for tree in _decomposition_trees():
         oracle = contexts_module._Oracle(tree)
         fresh = contexts_module._Oracle(tree)
@@ -554,10 +561,14 @@ def test_cubes_screen_the_and_of_their_slices():
             free = sum(1 << i for i, x in enumerate(vec) if x < 0)
             s = free
             while True:
-                expected = -1
+                survivors = proven = -1
                 for sl in _slices(tree.system, vec, s):
-                    expected &= fresh.pairs(sl)
-                assert oracle.pairs(contexts_module._cube(vec, s)) == expected, (vec, s)
+                    pairs, separated = _masks(fresh, sl, 0)
+                    survivors &= pairs
+                    proven &= separated
+                got = _masks(oracle, vec, s)
+                assert got == (survivors, proven), (vec, s)
+                assert not got[1] & ~got[0], (vec, s)
                 if not s:
                     break
                 s = (s - 1) & free
@@ -624,8 +635,10 @@ def test_mask_separation_equals_d_separated():
 
 
 def _cubes(system):
-    """Every cube: each position marked (-2), free (-1) or pinned."""
-    return itertools.product(*(range(-2, d) for d in system.cards))
+    """Every (C, S) as a context vector and an S mask: each position in S,
+    free (-1) outside S, or pinned."""
+    for marks in itertools.product(*(range(-2, d) for d in system.cards)):
+        yield tuple(max(x, -1) for x in marks), sum(1 << i for i, x in enumerate(marks) if x == -2)
 
 
 def test_proven_masks_are_pairwise_d_separation():
@@ -651,15 +664,14 @@ def test_proven_masks_are_pairwise_d_separation():
                 continue
             for a, b in _canonical_pairs(free):
                 separated = oracle._separated(a, b, vec)
-                assert separated == (not cross(a, b, p) & ~oracle.proven(vec)), (vec, a, b)
+                proven = _masks(oracle, vec, 0)[1]
+                assert separated == (not cross(a, b, p) & ~proven), (vec, a, b)
                 outcomes.add(separated)
-        for cube in _cubes(system):
-            marked = sum(1 << i for i, x in enumerate(cube) if x == -2)
-            vec = tuple(-1 if x == -2 else x for x in cube)
+        for vec, s in _cubes(system):
             expected = -1
-            for sl in _slices(system, vec, marked):
+            for sl in _slices(system, vec, s):
                 expected &= reference[sl]
-            assert oracle.proven(cube) == expected, cube
+            assert _masks(oracle, vec, s)[1] == expected, (vec, s)
     assert outcomes == {True, False}
 
 
